@@ -16,6 +16,7 @@ The CPTP test is: C >= 0 and the output-side marginal equals I/d.  An
 operation is incoherent when C is diagonal in the fixed |i alpha> basis.
 """
 
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -25,25 +26,30 @@ from .exceptions import (
     DimensionMismatchError,
     InvalidChoiError,
     InvalidKrausError,
-    NotDensityMatrixError,
     NotUnitaryError,
-    WeightError,
 )
 from .linalg import (
+    HermitianEig,
     as_complex_matrix,
     dagger,
-    eig_hermitian,
     kron,
     max_abs,
     partial_trace_in,
     partial_trace_out,
+    require_density,
+    require_finite,
     require_square,
+    require_unitary,
+    require_weights,
 )
 from .tolerances import admission_atol
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+# Eigenvalues at or below this are round-off: they carry no Kraus operator
+# and no roof ensemble direction.
+RANK_CUTOFF = 1e-12
 
 
 def rng_from(seed) -> np.random.Generator:
@@ -70,31 +76,21 @@ class ChoiState:
             d = int(round(np.sqrt(n)))
         if d * d != n:
             raise DimensionMismatchError(f"{n}x{n} matrix is not d^2 x d^2 for d={d}")
-        tol = admission_atol()
-        herm_residual = max_abs(m - dagger(m))
-        if herm_residual > tol:
-            raise InvalidChoiError(f"Choi matrix not Hermitian (residual {herm_residual:.3e})")
-        m = (m + dagger(m)) / 2.0
-        eig = eig_hermitian(m)
-        if eig.eigenvalues[-1] < -tol:
-            raise InvalidChoiError(
-                f"Choi matrix has eigenvalue {eig.eigenvalues[-1]:.3e} below -{tol:.1e}"
-            )
-        trace = float(np.trace(m).real)
-        if abs(trace - 1.0) > tol:
-            raise InvalidChoiError(f"Choi matrix has trace {trace:.12f}, expected 1")
         self.d = d
-        self.matrix = m
+        self.matrix, self._eig = require_density(m, InvalidChoiError, "Choi matrix")
         self.matrix.setflags(write=False)
-        self._eig = eig
 
     @property
     def largest_eigenvalue(self) -> float:
         return float(self._eig.eigenvalues[0])
 
-    def is_pure(self, atol: float | None = None) -> bool:
-        atol = admission_atol() if atol is None else atol
-        return self.largest_eigenvalue >= 1.0 - atol
+    def is_pure(self) -> bool:
+        return self.largest_eigenvalue >= 1.0 - admission_atol()
+
+    def support(self) -> HermitianEig:
+        """Eigenpairs above the rank cutoff, from the spectrum held since admission."""
+        keep = self._eig.eigenvalues > RANK_CUTOFF
+        return HermitianEig(self._eig.eigenvalues[keep], self._eig.eigenvectors[:, keep])
 
     @property
     def pure_vector(self) -> np.ndarray:
@@ -110,22 +106,16 @@ class ChoiState:
         return is_cptp(self).ok
 
 
+@dataclass(frozen=True)
 class CptpReport:
     """Verdict plus the two residuals behind the CPTP iff-condition."""
 
-    def __init__(self, ok: bool, min_eigenvalue: float, marginal_residual: float):
-        self.ok = ok
-        self.min_eigenvalue = min_eigenvalue
-        self.marginal_residual = marginal_residual
+    ok: bool
+    min_eigenvalue: float
+    marginal_residual: float
 
     def __bool__(self) -> bool:
         return self.ok
-
-    def __repr__(self) -> str:
-        return (
-            f"CptpReport(ok={self.ok}, min_eigenvalue={self.min_eigenvalue:.3e}, "
-            f"marginal_residual={self.marginal_residual:.3e})"
-        )
 
 
 def is_cptp(choi: ChoiState) -> CptpReport:
@@ -136,16 +126,13 @@ def is_cptp(choi: ChoiState) -> CptpReport:
     return CptpReport(min_eig >= -tol and marginal <= tol, min_eig, marginal)
 
 
+@dataclass(frozen=True)
 class IncoherenceReport:
-    def __init__(self, ok: bool, max_offdiagonal: float):
-        self.ok = ok
-        self.max_offdiagonal = max_offdiagonal
+    ok: bool
+    max_offdiagonal: float
 
     def __bool__(self) -> bool:
         return self.ok
-
-    def __repr__(self) -> str:
-        return f"IncoherenceReport(ok={self.ok}, max_offdiagonal={self.max_offdiagonal:.3e})"
 
 
 def is_incoherent_operation(choi: ChoiState) -> IncoherenceReport:
@@ -162,7 +149,7 @@ def is_incoherent_kraus_operator(k) -> bool:
     therefore preserves diagonal (incoherent) states.
     """
     m = as_complex_matrix(k)
-    return bool(np.all((np.abs(m) > admission_atol()).sum(axis=0) <= 1))
+    return bool(np.all((~(np.abs(m) <= admission_atol())).sum(axis=0) <= 1))
 
 
 class QuantumOperation:
@@ -184,18 +171,13 @@ class QuantumOperation:
 
     @classmethod
     def from_unitary(cls, u) -> "QuantumOperation":
-        m = as_complex_matrix(u)
-        d = require_square(m)
-        residual = max_abs(dagger(m) @ m - np.eye(d))
-        if residual > admission_atol():
-            raise NotUnitaryError(f"matrix is not unitary (residual {residual:.3e})")
-        m = m.copy()
+        m = require_unitary(u).copy()
         m.setflags(write=False)
-        return cls(d, "unitary", unitary=m)
+        return cls(m.shape[0], "unitary", unitary=m)
 
     @classmethod
     def from_kraus(cls, operators) -> "QuantumOperation":
-        ks = [as_complex_matrix(k) for k in operators]
+        ks = [require_finite(k, InvalidKrausError, "Kraus operator") for k in operators]
         if not ks:
             raise InvalidKrausError("empty Kraus list")
         d = require_square(ks[0])
@@ -281,13 +263,7 @@ def apply_via_choi(choi: ChoiState, rho) -> np.ndarray:
     d = choi.d
     if r.shape != (d, d):
         raise DimensionMismatchError(f"state shape {r.shape} does not match d={d}")
-    tol = admission_atol()
-    if max_abs(r - dagger(r)) > tol:
-        raise NotDensityMatrixError("state is not Hermitian within tolerance")
-    if abs(float(np.trace(r).real) - 1.0) > tol:
-        raise NotDensityMatrixError(f"state has trace {np.trace(r).real:.6f}, expected 1")
-    if np.linalg.eigvalsh((r + dagger(r)) / 2)[0] < -tol:
-        raise NotDensityMatrixError("state has a negative eigenvalue beyond tolerance")
+    require_density(r)
     lifted = kron(r.T, np.eye(d))
     return d * partial_trace_in(lifted @ choi.matrix, d)
 
@@ -299,22 +275,15 @@ def matrix_elements(op: QuantumOperation) -> np.ndarray:
     return d * c.reshape(d, d, d, d).transpose(0, 2, 1, 3)
 
 
-def kraus_from_choi(choi: ChoiState, cutoff: float = 1e-12) -> tuple:
+def kraus_from_choi(choi: ChoiState) -> tuple:
     """Kraus operators from the Choi eigendecomposition.
 
-    Eigenvalues below ``cutoff`` are dropped; the retained operators
-    reproduce the channel action up to that truncation.
+    Eigenvalues at or below ``RANK_CUTOFF`` are dropped; the retained
+    operators reproduce the channel action up to that truncation.
     """
     d = choi.d
-    w, v = eig_hermitian(choi.matrix)
-    ks = []
-    for lam, vec in zip(w, v.T):
-        if lam <= cutoff:
-            continue
-        ks.append(np.sqrt(d * lam) * vec.reshape(d, d).T)
-    if not ks:
-        raise InvalidChoiError("Choi state has no eigenvalue above the rank cutoff")
-    return tuple(ks)
+    w, v = choi.support()
+    return tuple(np.sqrt(d * lam) * vec.reshape(d, d).T for lam, vec in zip(w, v.T))
 
 
 def unitary_from_choi(choi: ChoiState) -> np.ndarray:
@@ -322,12 +291,7 @@ def unitary_from_choi(choi: ChoiState) -> np.ndarray:
     if not choi.is_pure():
         raise ConversionUndefinedError("Choi state is not pure; no unitary form exists")
     k = np.sqrt(choi.d) * choi.pure_vector.reshape(choi.d, choi.d).T
-    residual = max_abs(dagger(k) @ k - np.eye(choi.d))
-    if residual > admission_atol():
-        raise ConversionUndefinedError(
-            f"pure Choi state is not maximally entangled (unitarity residual {residual:.3e})"
-        )
-    return k
+    return require_unitary(k, ConversionUndefinedError, "Kraus operator of the pure Choi state")
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +323,7 @@ def dephasing_operation(d: int) -> QuantumOperation:
 
 def mix_operations(weights, ops) -> QuantumOperation:
     """Convex mixture, realized on Choi states: C = sum_n p_n C_n."""
-    p = np.asarray(weights, dtype=float)
-    if p.size == 0 or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
-        raise WeightError(f"weights must be nonnegative and sum to 1, got {weights}")
+    p = require_weights(weights)
     if len(ops) != p.size:
         raise DimensionMismatchError("one weight per operation required")
     d = ops[0].dim

@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 for success or a true predicate, 1 for a false predicate or
-a failed verification suite, 2 for usage and parse errors.  Every
-randomized command takes an explicit --seed; reports are byte-identical
-for a fixed seed and input (pass --timing to add a wall-time field).
+a failed verification suite, 2 for usage and parse errors, an out-of-range
+count or seed, and an invalid QOPCOH_TOL.  Every randomized command takes
+an explicit --seed; reports are byte-identical for a fixed seed and input
+(pass --timing to add a wall-time field).
 """
 
 import sys
@@ -23,21 +24,21 @@ from .documents import (
     superoperation_from_document,
     superoperation_to_document,
 )
-from .exceptions import (
-    ConversionUndefinedError,
-    MethodInapplicableError,
-    ParseError,
-    QopcohError,
-    UnknownSuiteError,
-)
+from .exceptions import ParseError, QopcohError
 from .suites import SUITE_NAMES, run_suite
+from .tolerances import admission_atol
 
-USAGE_ERRORS = (ParseError, ConversionUndefinedError, MethodInapplicableError, UnknownSuiteError)
+COUNT = click.IntRange(min=1)
+SEED = click.IntRange(min=0)
 
 
 @click.group()
 def main():
     """Analyze the coherence of quantum operations via their Choi states."""
+    try:
+        admission_atol()
+    except QopcohError as exc:
+        _fail(exc)
 
 
 def _fail(exc: Exception, code: int = 2):
@@ -168,23 +169,16 @@ def classify(in_file, timing):
     default="auto",
     type=click.Choice(["auto", "pure", "qubit-closed-form", "convex-roof"]),
 )
-@click.option("--restarts", default=32, show_default=True)
-@click.option("--max-iter", default=2000, show_default=True)
-@click.option("--seed", type=int, default=None, help="Required when the convex roof runs.")
+@click.option("--restarts", type=COUNT, default=32, show_default=True)
+@click.option("--max-iter", type=click.IntRange(min=0), default=2000, show_default=True)
+@click.option("--seed", type=SEED, default=None, help="Required when the convex roof runs.")
 @click.option("--timing", is_flag=True, default=False)
 def measure(in_file, method, restarts, max_iter, seed, timing):
     """Evaluate the fidelity coherence measure of an operation document."""
     started = time.perf_counter()
     try:
         op = _load_operation(in_file)
-        needs_roof = method == "convex-roof" or (
-            method == "auto" and not (op.kind == "unitary" and op.dim == 2) and not op.choi.is_pure()
-        )
-        if needs_roof and seed is None:
-            raise MethodInapplicableError("--seed is required when the convex-roof estimator runs")
-        result = coherence.measure_coherence(
-            op, method=method, restarts=restarts, max_iter=max_iter, seed=seed or 0
-        )
+        result = coherence.measure_coherence(op, method=method, restarts=restarts, max_iter=max_iter, seed=seed)
         if result.witness_index is not None:
             i, a = result.witness_index
             witness = {"basis_input": int(i), "basis_output": int(a), "linear_index": int(i * op.dim + a)}
@@ -210,8 +204,8 @@ def measure(in_file, method, restarts, max_iter, seed, timing):
 
 @main.command()
 @click.option("--suite", required=True, type=click.Choice(list(SUITE_NAMES)))
-@click.option("--samples", default=200, show_default=True)
-@click.option("--seed", type=int, required=True)
+@click.option("--samples", type=COUNT, default=200, show_default=True)
+@click.option("--seed", type=SEED, required=True)
 @click.option("--timing", is_flag=True, default=False)
 def verify(suite, samples, seed, timing):
     """Run a named verification suite; exit 0 only if every check passes."""
@@ -229,8 +223,6 @@ def verify(suite, samples, seed, timing):
         )
         _emit(doc, None)
         sys.exit(0 if ok else 1)
-    except USAGE_ERRORS as exc:
-        _fail(exc)
     except QopcohError as exc:
         _fail(exc)
 
@@ -239,7 +231,7 @@ def verify(suite, samples, seed, timing):
 @click.option("--kind", required=True, type=click.Choice(["unitary", "cptp", "incoherent-cptp", "superop"]))
 @click.option("--d", "dim", default=2, show_default=True)
 @click.option("--env-dim", default=2, show_default=True, help="Environment size for CPTP sampling.")
-@click.option("--seed", type=int, required=True)
+@click.option("--seed", type=SEED, required=True)
 @click.option("--out", type=click.Path(), default=None, help="Output file (default: stdout).")
 def random_cmd(kind, dim, env_dim, seed, out):
     """Generate a random operation or superoperation document."""

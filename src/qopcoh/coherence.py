@@ -40,13 +40,10 @@ from .exceptions import (
     DimensionMismatchError,
     InvalidChoiError,
     MethodInapplicableError,
-    NotDensityMatrixError,
-    NotPSDError,
     NotPureChoiError,
-    NotUnitaryError,
     UnsupportedDimError,
 )
-from .linalg import as_complex_matrix, dagger, eig_hermitian, max_abs, sqrt_psd
+from .linalg import dagger, max_abs, psd_root, require_density, require_unitary, require_weights
 from .superop import Superoperation, apply as apply_superop, kraus_outcomes
 from .tolerances import admission_atol
 
@@ -54,37 +51,19 @@ SQRT2_OVER_2 = math.sqrt(2.0) / 2.0
 SQRT3_OVER_2 = math.sqrt(3.0) / 2.0
 
 
-def _require_density(m, what: str, check_psd: bool = True) -> np.ndarray:
-    a = as_complex_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise NotDensityMatrixError(f"{what} is not square")
-    tol = admission_atol()
-    if max_abs(a - dagger(a)) > tol:
-        raise NotDensityMatrixError(f"{what} is not Hermitian within tolerance")
-    if abs(float(np.trace(a).real) - 1.0) > tol:
-        raise NotDensityMatrixError(f"{what} has trace {np.trace(a).real:.6f}, expected 1")
-    h = (a + dagger(a)) / 2
-    if check_psd and np.linalg.eigvalsh(h)[0] < -tol:
-        raise NotDensityMatrixError(f"{what} has a negative eigenvalue beyond tolerance")
-    return h
-
-
 def uhlmann_fidelity(rho, sigma) -> float:
     """F(rho, sigma) = (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, clamped to [0, 1].
 
     Evaluated as the squared nuclear norm of sqrt(rho) sqrt(sigma), which
     is the same number but avoids taking square roots of the round-off
-    eigenvalues of the sandwiched product.
+    eigenvalues of the sandwiched product.  The roots come from the
+    spectra computed while admitting the two states.
     """
-    # positivity is enforced by sqrt_psd at the same tolerance
-    r = _require_density(rho, "rho", check_psd=False)
-    s = _require_density(sigma, "sigma", check_psd=False)
+    r, r_eig = require_density(rho, what="rho")
+    s, s_eig = require_density(sigma, what="sigma")
     if r.shape != s.shape:
         raise DimensionMismatchError(f"shape mismatch {r.shape} vs {s.shape}")
-    try:
-        singular_values = np.linalg.svd(sqrt_psd(r) @ sqrt_psd(s), compute_uv=False)
-    except NotPSDError as exc:
-        raise NotDensityMatrixError(str(exc)) from exc
+    singular_values = np.linalg.svd(psd_root(r_eig) @ psd_root(s_eig), compute_uv=False)
     f = float(singular_values.sum() ** 2)
     return min(max(f, 0.0), 1.0)
 
@@ -104,9 +83,7 @@ class Ensemble:
     members: tuple
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if np.any(w < -1e-12) or abs(w.sum() - 1.0) > admission_atol():
-            raise ValueError(f"ensemble weights must be nonnegative and sum to 1, got sum {w.sum()}")
+        require_weights(self.weights, ValueError)
         for member in self.members:
             if not member.choi.is_pure():
                 raise NotPureChoiError("ensemble members must carry pure Choi states")
@@ -180,23 +157,13 @@ def unitary_from_euler(p: EulerParams) -> np.ndarray:
     return np.exp(1j * p.alpha) * (rz_b @ ry @ rz_d)
 
 
-def _require_qubit_unitary(u) -> np.ndarray:
-    m = as_complex_matrix(u)
-    if m.shape != (2, 2):
-        raise NotUnitaryError(f"expected a 2x2 unitary, got shape {m.shape}")
-    residual = max_abs(dagger(m) @ m - np.eye(2))
-    if residual > admission_atol():
-        raise NotUnitaryError(f"matrix is not unitary (residual {residual:.3e})")
-    return m
-
-
 def euler_params_from_unitary(u) -> EulerParams:
     """Extract Euler angles; gamma normalized to [0, pi].
 
     |U[0,0]| within 1e-12 of 0 or 1 is snapped to the exact boundary cases
     gamma = pi or gamma = 0, avoiding arccos domain noise.
     """
-    m = _require_qubit_unitary(u)
+    m = require_unitary(u, dim=2)
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     alpha = float(np.angle(det)) / 2.0
     a = m[0, 0]
@@ -225,7 +192,7 @@ def mf_single_qubit_unitary(u) -> MeasureResult:
     Works off |U[0,0]| = |cos(gamma/2)| and |U[0,1]| = |sin(gamma/2)|
     directly; agrees with mf_pure on the Choi state to 1e-10.
     """
-    m = _require_qubit_unitary(u)
+    m = require_unitary(u, dim=2)
     am2 = abs(m[0, 0]) ** 2
     bm2 = abs(m[0, 1]) ** 2
     value = min(math.sqrt(max(1.0 - am2 / 2.0, 0.0)), math.sqrt(max(1.0 - bm2 / 2.0, 0.0)))
@@ -253,7 +220,6 @@ def max_coherent_operation(thetas, d: int = 2) -> QuantumOperation:
 # Convex-roof estimation
 # ---------------------------------------------------------------------------
 
-_RANK_CUTOFF = 1e-12
 _STALL_WINDOW = 200
 _IMPROVE_TOL = 1e-10
 
@@ -300,13 +266,12 @@ def mf_convex_roof(
     The returned history holds the best value after each restart and is
     nonincreasing; the returned ensemble reconstructs C to 1e-8.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     choi = op.choi
     if choi.is_pure():
         return mf_pure(op)
-    eig = eig_hermitian(choi.matrix)
-    keep = eig.eigenvalues > _RANK_CUTOFF
-    lam = eig.eigenvalues[keep]
-    vecs = eig.eigenvectors[:, keep]
+    lam, vecs = choi.support()
     r = int(lam.size)
     m = r * r if ensemble_size is None else int(ensemble_size)
     if not r <= m <= r * r:
@@ -317,7 +282,7 @@ def mf_convex_roof(
     best_value = math.inf
     best_v = None
     history = []
-    for restart in range(max(restarts, 1)):
+    for restart in range(restarts):
         if restart == 0:
             # warm start from the eigendecomposition ensemble itself
             v = np.zeros((m, r), dtype=complex)
@@ -368,7 +333,7 @@ def mf_convex_roof(
     )
     ensemble = Ensemble(weights=p[kept], members=members)
     residual = max_abs(ensemble.reconstruction() - choi.matrix)
-    if residual > 1e-8:
+    if not residual <= 1e-8:
         raise InvalidChoiError(f"optimizer ensemble fails to reconstruct the input ({residual:.2e})")
     return MeasureResult(
         value=best_value,
@@ -385,25 +350,29 @@ def measure_coherence(
     max_iter: int = 2000,
     seed=0,
 ) -> MeasureResult:
-    """Dispatch to the closed form, the pure shortcut, or the convex roof."""
+    """Dispatch to the closed form, the pure shortcut, or the convex roof.
+
+    The roof is randomized, so it runs only with an explicit seed.
+    """
     if method == "auto":
         if op.kind == "unitary" and op.dim == 2:
             return mf_single_qubit_unitary(op.unitary)
         if op.choi.is_pure():
             return mf_pure(op)
-        return mf_convex_roof(op, restarts=restarts, max_iter=max_iter, seed=seed)
-    if method == "pure":
+    elif method == "pure":
         try:
             return mf_pure(op)
         except NotPureChoiError as exc:
             raise MethodInapplicableError(str(exc)) from exc
-    if method == "qubit-closed-form":
+    elif method == "qubit-closed-form":
         if op.kind != "unitary" or op.dim != 2:
             raise MethodInapplicableError("closed form needs a 2x2 unitary operation")
         return mf_single_qubit_unitary(op.unitary)
-    if method == "convex-roof":
-        return mf_convex_roof(op, restarts=restarts, max_iter=max_iter, seed=seed)
-    raise MethodInapplicableError(f"unknown method {method!r}")
+    elif method != "convex-roof":
+        raise MethodInapplicableError(f"unknown method {method!r}")
+    if seed is None:
+        raise MethodInapplicableError("a seed is required when the convex-roof estimator runs")
+    return mf_convex_roof(op, restarts=restarts, max_iter=max_iter, seed=seed)
 
 
 # ---------------------------------------------------------------------------

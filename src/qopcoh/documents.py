@@ -12,7 +12,8 @@ import json
 import numpy as np
 
 from .channel import ChoiState, QuantumOperation
-from .exceptions import ParseError
+from .exceptions import ParseError, QopcohError
+from .linalg import require_finite
 from .superop import Superoperation
 
 SCHEMA_VERSION = "1"
@@ -35,6 +36,7 @@ def matrix_from_json(rows) -> np.ndarray:
         raise ParseError(f"malformed matrix: {exc}") from exc
     if a.ndim != 3 or a.shape[2] != 2:
         raise ParseError(f"matrix entries must be [re, im] pairs, got shape {a.shape}")
+    require_finite(a.reshape(a.shape[0], -1), ParseError, "matrix")
     return a[:, :, 0] + 1j * a[:, :, 1]
 
 
@@ -46,6 +48,11 @@ def _require_fields(doc: dict, fields, what: str) -> None:
             raise ParseError(f"{what} is missing field {f!r}")
     if str(doc["schema_version"]) != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema_version {doc['schema_version']!r}")
+    d = doc["d"]
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+        raise ParseError(f"{what} field 'd' must be a positive integer, got {d!r}")
+    if not isinstance(doc.get("matrices", []), list):
+        raise ParseError(f"{what} field 'matrices' must be a list")
 
 
 def operation_to_document(op: QuantumOperation, metadata: dict | None = None) -> dict:
@@ -67,7 +74,7 @@ def operation_to_document(op: QuantumOperation, metadata: dict | None = None) ->
 def operation_from_document(doc: dict) -> QuantumOperation:
     _require_fields(doc, ("schema_version", "kind", "d", "matrices"), "operation document")
     kind = doc["kind"]
-    d = int(doc["d"])
+    d = doc["d"]
     matrices = [matrix_from_json(m) for m in doc["matrices"]]
     if not matrices:
         raise ParseError("operation document carries no matrices")
@@ -86,7 +93,7 @@ def operation_from_document(doc: dict) -> QuantumOperation:
             return QuantumOperation.from_choi(ChoiState(matrices[0], d))
     except ParseError:
         raise
-    except Exception as exc:
+    except QopcohError as exc:
         raise ParseError(f"invalid {kind} operation: {exc}") from exc
     raise ParseError(f"unknown operation kind {kind!r}")
 
@@ -111,7 +118,7 @@ def superoperation_to_document(s: Superoperation, metadata: dict | None = None) 
 def superoperation_from_document(doc: dict) -> Superoperation:
     _require_fields(doc, ("schema_version", "kind", "d"), "superoperation document")
     kind = doc["kind"]
-    d = int(doc["d"])
+    d = doc["d"]
     try:
         if kind == "sandwich":
             if "post" not in doc or "pre" not in doc:
@@ -131,7 +138,7 @@ def superoperation_from_document(doc: dict) -> Superoperation:
             return Superoperation.from_matrix(matrix_from_json(ms[0]), d)
     except ParseError:
         raise
-    except Exception as exc:
+    except QopcohError as exc:
         raise ParseError(f"invalid {kind} superoperation: {exc}") from exc
     raise ParseError(f"unknown superoperation kind {kind!r}")
 

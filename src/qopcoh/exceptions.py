@@ -75,3 +75,11 @@ class MethodInapplicableError(QopcohError):
 
 class UnknownSuiteError(QopcohError):
     pass
+
+
+class NotFiniteError(QopcohError):
+    pass
+
+
+class InvalidToleranceError(QopcohError):
+    pass

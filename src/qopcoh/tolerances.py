@@ -11,10 +11,14 @@ Three tiers, used consistently everywhere:
   trace-one / unitary and for the yes-no predicates built on top of them.
 
 Only the admission tolerance may be overridden, via the ``QOPCOH_TOL``
-environment variable; the algebra tolerances are fixed.
+environment variable, which must hold a finite positive number; the algebra
+tolerances are fixed.
 """
 
+import math
 import os
+
+from .exceptions import InvalidToleranceError
 
 ALGEBRA_ATOL = 1e-12
 EIG_ATOL = 1e-10
@@ -26,7 +30,10 @@ def admission_atol() -> float:
     raw = os.environ.get("QOPCOH_TOL")
     if raw is None:
         return DEFAULT_ADMISSION_ATOL
-    value = float(raw)
-    if value <= 0:
-        raise ValueError(f"QOPCOH_TOL must be positive, got {raw!r}")
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise InvalidToleranceError(f"QOPCOH_TOL must be a finite positive number, got {raw!r}")
     return value

@@ -32,6 +32,7 @@ from qopcoh.exceptions import (
     InvalidKrausError,
     NotDensityMatrixError,
     NotUnitaryError,
+    WeightError,
 )
 from qopcoh.linalg import kron, max_abs
 
@@ -96,6 +97,9 @@ class TestApplyViaChoi:
             apply_via_choi(choi, np.array([[0.5, 0.5], [-0.5, 0.5]]))
         with pytest.raises(DimensionMismatchError):
             apply_via_choi(choi, np.eye(3) / 3)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NotDensityMatrixError):
+                apply_via_choi(choi, np.diag([bad, 0.5]))
 
 
 class TestMatrixElements:
@@ -216,6 +220,14 @@ class TestRepresentations:
     def test_from_unitary_rejects_non_unitary(self):
         with pytest.raises(NotUnitaryError):
             QuantumOperation.from_unitary(np.array([[1, 1], [0, 1]], dtype=complex))
+        for bad in (np.inf, np.nan):
+            with pytest.raises(NotUnitaryError):
+                QuantumOperation.from_unitary(np.array([[bad, 0], [0, 1]], dtype=complex))
+
+    def test_from_kraus_rejects_non_finite(self):
+        for bad in (np.inf, np.nan):
+            with pytest.raises(InvalidKrausError):
+                QuantumOperation.from_kraus([np.eye(2), np.diag([bad, 0.0])])
 
     def test_choi_state_validation(self):
         with pytest.raises(InvalidChoiError):
@@ -226,6 +238,11 @@ class TestRepresentations:
         bad[0, 1] = 1.0
         with pytest.raises(InvalidChoiError):
             ChoiState(bad, 2)  # hermiticity
+        for entry in (np.nan, np.inf):
+            bad = IDENTITY_CHOI.copy()
+            bad[1, 1] = entry
+            with pytest.raises(InvalidChoiError):
+                ChoiState(bad, 2)  # finiteness
 
     def test_kraus_from_choi_round_trip(self):
         rng = np.random.default_rng(16)
@@ -238,6 +255,12 @@ class TestRepresentations:
     def test_mix_operations_matches_dephasing(self):
         mixed = mix_operations([0.5, 0.5], [identity_operation(2), pauli_z_operation()])
         assert max_abs(mixed.choi.matrix - DEPHASING_CHOI) <= 1e-15
+
+    def test_mix_operations_weight_validation(self):
+        ops = [identity_operation(2), pauli_z_operation()]
+        for weights in ([0.4, 0.4], [-0.5, 1.5], [np.nan, 1.0], [np.inf, -np.inf]):
+            with pytest.raises(WeightError):
+                mix_operations(weights, ops)
 
     def test_trace_preserving_flag(self):
         assert identity_operation(2).is_trace_preserving

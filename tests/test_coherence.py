@@ -23,6 +23,7 @@ from qopcoh.channel import (
 from qopcoh.coherence import (
     SQRT2_OVER_2,
     SQRT3_OVER_2,
+    Ensemble,
     euler_params_from_unitary,
     max_coherent_operation,
     measure_coherence,
@@ -89,6 +90,9 @@ class TestUhlmannFidelity:
             uhlmann_fidelity(rho, np.eye(2))  # trace 2
         with pytest.raises(NotDensityMatrixError):
             uhlmann_fidelity(np.diag([1.5, -0.5]), rho)  # negative eigenvalue
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NotDensityMatrixError):
+                uhlmann_fidelity(rho, np.diag([bad, 0.5]))  # non-finite
 
 
 class TestOperationFidelity:
@@ -165,6 +169,11 @@ class TestEulerParameters:
             euler_params_from_unitary(np.array([[1, 1], [0, 1]], dtype=complex))
         with pytest.raises(NotUnitaryError):
             euler_params_from_unitary(np.eye(3))
+        for bad in (np.inf, np.nan):
+            with pytest.raises(NotUnitaryError):
+                euler_params_from_unitary(np.array([[bad, 0], [0, 1]], dtype=complex))
+            with pytest.raises(NotUnitaryError):
+                mf_single_qubit_unitary(np.array([[bad, 0], [0, 1]], dtype=complex))
 
 
 class TestClosedFormQubit:
@@ -248,6 +257,19 @@ class TestConvexRoof:
         with pytest.raises(ValueError):
             mf_convex_roof(mixed, seed=7, ensemble_size=1)
 
+    def test_restart_count_validation(self):
+        # a nonpositive count used to run one restart without saying so
+        mixed = mix_operations([0.5, 0.5], [identity_operation(2), pauli_z_operation()])
+        for restarts in (0, -3):
+            with pytest.raises(ValueError):
+                mf_convex_roof(mixed, restarts=restarts, seed=7)
+
+    def test_ensemble_weight_validation(self):
+        member = (identity_operation(2),)
+        for weights in ([0.5], [np.nan], [-1.0]):
+            with pytest.raises(ValueError):
+                Ensemble(weights=np.array(weights), members=member)
+
 
 class TestDispatch:
     def test_auto_prefers_closed_form_for_qubit_unitaries(self):
@@ -269,6 +291,10 @@ class TestDispatch:
             measure_coherence(dephasing_operation(2), method="qubit-closed-form")
         with pytest.raises(MethodInapplicableError):
             measure_coherence(identity_operation(2), method="no-such-method")
+        # the roof is randomized, so it never runs unseeded
+        for method in ("auto", "convex-roof"):
+            with pytest.raises(MethodInapplicableError):
+                measure_coherence(dephasing_operation(2), method=method, seed=None)
 
 
 class TestAxiomHarness:

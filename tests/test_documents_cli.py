@@ -1,11 +1,15 @@
 """JSON document formats and the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import qopcoh
 from qopcoh.channel import (
     QuantumOperation,
     dephasing_operation,
@@ -87,10 +91,25 @@ class TestOperationDocuments:
         doc["kind"] = "mystery"
         with pytest.raises(ParseError):
             operation_from_document(doc)
+        for field, value in [("d", "x"), ("d", None), ("d", 2.5), ("d", 2.0), ("d", True), ("d", 0), ("matrices", 5)]:
+            doc = operation_to_document(identity_operation(2))
+            doc[field] = value
+            with pytest.raises(ParseError):
+                operation_from_document(doc)
+            sop = superoperation_to_document(phase_out(2))
+            sop[field] = value
+            with pytest.raises(ParseError):
+                superoperation_from_document(sop)
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ParseError):
+                matrix_from_json([[[1.0, 0.0], [0.0, bad]]])
 
     def test_non_unitary_matrix_in_unitary_document(self):
         doc = operation_to_document(identity_operation(2))
         doc["matrices"][0][0][0] = [3.0, 0.0]
+        with pytest.raises(ParseError):
+            operation_from_document(doc)
+        doc["matrices"][0][0][0] = [float("inf"), 0.0]
         with pytest.raises(ParseError):
             operation_from_document(doc)
 
@@ -334,3 +353,74 @@ class TestCliVerifyAndRandom:
         op = operation_from_document(load_document(out))
         assert op.kind == "unitary"
         assert op.dim == 3
+
+
+class TestCliFailsClosed:
+    """Malformed input of every kind exits 2 with an error line and no report."""
+
+    def setup_method(self):
+        self.runner = CliRunner()
+
+    def assert_usage_error(self, args, env=None, message="error:"):
+        result = self.runner.invoke(main, args, env=env)
+        assert result.exit_code == 2, result.output
+        assert message in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["verify", "--suite", "theorem12", "--samples", "-5", "--seed", "1"],
+            ["verify", "--suite", "theorem21", "--samples", "0", "--seed", "1"],
+            ["verify", "--suite", "corollary32", "--samples", "0", "--seed", "1"],
+            ["verify", "--suite", "theorem12", "--seed", "-1"],
+            ["random", "--kind", "unitary", "--seed", "-1"],
+        ],
+        ids=["samples-negative", "samples-zero-theorem21", "samples-zero-corollary32", "verify-seed", "random-seed"],
+    )
+    def test_out_of_range_counts_and_seeds(self, args):
+        self.assert_usage_error(args, message="Invalid value")
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--restarts", "-3"], ["--restarts", "0"], ["--max-iter", "-1"], ["--seed", "-1"]],
+        ids=["restarts-negative", "restarts-zero", "max-iter", "seed"],
+    )
+    def test_measure_out_of_range_options(self, tmp_path, extra):
+        src = write_operation(tmp_path, "deph.json", dephasing_operation(2))
+        self.assert_usage_error(["measure", src, "--method", "convex-roof", "--seed", "1", *extra], message="Invalid value")
+
+    @pytest.mark.parametrize("raw", ["abc", "nan", "inf", "0", "-1"])
+    def test_invalid_admission_tolerance(self, tmp_path, raw):
+        doc = operation_to_document(QuantumOperation.from_kraus([np.eye(2)]))
+        src = write_doc(tmp_path, "k.json", doc)
+        self.assert_usage_error(["check", src, "--predicate", "cptp"], env={"QOPCOH_TOL": raw}, message="error: QOPCOH_TOL")
+
+    @pytest.mark.parametrize("field,value", [("d", "x"), ("d", None), ("d", 2.5), ("matrices", 5)])
+    def test_malformed_operation_document(self, tmp_path, field, value):
+        doc = operation_to_document(identity_operation(2))
+        doc[field] = value
+        self.assert_usage_error(["check", write_doc(tmp_path, "bad.json", doc), "--predicate", "cptp"])
+
+    def test_infinite_unitary_entry(self, tmp_path):
+        # run as a user runs it, with numpy's warnings left as warnings: an
+        # Inf entry once went through unitarity arithmetic and measured 0
+        doc = operation_to_document(identity_operation(2))
+        doc["matrices"][0][0][0] = [float("inf"), 0.0]
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(doc))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qopcoh.__file__)))
+        result = subprocess.run(
+            [sys.executable, "-m", "qopcoh.cli", "measure", str(path)], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ")
+        assert result.stdout == ""
+
+    def test_nan_superoperation_matrix(self, tmp_path):
+        s = Superoperation.from_matrix(phase_out(2).matrix, 2)
+        doc = superoperation_to_document(s)
+        doc["matrices"][0][1][2] = [float("nan"), 0.0]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        self.assert_usage_error(["classify", str(path)])

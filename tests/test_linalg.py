@@ -5,9 +5,14 @@ import pytest
 
 from qopcoh.exceptions import (
     DimensionMismatchError,
+    InvalidToleranceError,
+    NotDensityMatrixError,
+    NotFiniteError,
     NotHermitianError,
     NotPSDError,
     NotSquareError,
+    NotUnitaryError,
+    WeightError,
 )
 from qopcoh.linalg import (
     devectorize,
@@ -16,9 +21,15 @@ from qopcoh.linalg import (
     max_abs,
     partial_trace_in,
     partial_trace_out,
+    require_density,
+    require_finite,
+    require_hermitian,
+    require_unitary,
+    require_weights,
     sqrt_psd,
     vectorize,
 )
+from qopcoh.tolerances import DEFAULT_ADMISSION_ATOL, admission_atol
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -69,6 +80,9 @@ class TestEigHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
             eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NotHermitianError):
+                eig_hermitian(np.array([[bad, 0], [0, 1]], dtype=complex))
 
 
 class TestSqrtPsd:
@@ -100,6 +114,11 @@ class TestSqrtPsd:
             sqrt_psd(np.diag([1.0, -1e-3]))
         with pytest.raises(NotPSDError):
             sqrt_psd(-np.eye(2) + 0.1 * random_psd(2, np.random.default_rng(3)))
+
+    def test_rejects_non_finite(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NotHermitianError):
+                sqrt_psd(np.diag([1.0, bad]))
 
 
 class TestPartialTraces:
@@ -189,3 +208,67 @@ class TestVectorization:
     def test_devectorize_length_check(self):
         with pytest.raises(DimensionMismatchError):
             devectorize(np.zeros(5), 2)
+
+
+NON_FINITE = (np.nan, np.inf, -np.inf)
+
+
+class TestAdmission:
+    """Every check rejects NaN and Inf, whatever the residual would read."""
+
+    def test_finite(self):
+        assert max_abs(require_finite(np.eye(2)) - np.eye(2)) == 0
+        for bad in NON_FINITE:
+            with pytest.raises(NotFiniteError):
+                require_finite(np.array([[1.0, bad], [0.0, 1.0]]))
+            with pytest.raises(ValueError):
+                require_finite(np.array([[bad]]), error=ValueError)
+
+    def test_hermitian(self):
+        require_hermitian(PAULI_X)
+        with pytest.raises(NotHermitianError):
+            require_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+        for bad in NON_FINITE:
+            with pytest.raises(NotHermitianError):
+                require_hermitian(np.diag([bad, 1.0]))
+
+    def test_density(self):
+        h, eig = require_density(np.diag([0.25, 0.75]))
+        assert max_abs(h - np.diag([0.25, 0.75])) == 0
+        assert np.allclose(eig.eigenvalues, [0.75, 0.25])
+        for bad in (np.eye(2), np.diag([1.5, -0.5]), np.array([[0.5, 0.5], [-0.5, 0.5]])):
+            with pytest.raises(NotDensityMatrixError):
+                require_density(bad)
+        for bad in NON_FINITE:
+            with pytest.raises(NotDensityMatrixError):
+                require_density(np.diag([bad, 0.5]))
+
+    def test_unitary(self):
+        require_unitary(PAULI_X, dim=2)
+        with pytest.raises(NotUnitaryError):
+            require_unitary(np.eye(3), dim=2)
+        with pytest.raises(NotUnitaryError):
+            require_unitary(np.array([[1, 1], [0, 1]], dtype=complex))
+        for bad in NON_FINITE:
+            with pytest.raises(NotUnitaryError):
+                require_unitary(np.array([[bad, 0], [0, 1]], dtype=complex))
+
+    def test_weights(self):
+        assert list(require_weights([0.25, 0.75])) == [0.25, 0.75]
+        for bad in ([], [0.4, 0.4], [-0.5, 1.5], [np.nan, 1.0], [np.inf, -np.inf], [1.0, np.nan]):
+            with pytest.raises(WeightError):
+                require_weights(bad)
+
+
+class TestAdmissionTolerance:
+    def test_default_and_override(self, monkeypatch):
+        monkeypatch.delenv("QOPCOH_TOL", raising=False)
+        assert admission_atol() == DEFAULT_ADMISSION_ATOL
+        monkeypatch.setenv("QOPCOH_TOL", "1e-6")
+        assert admission_atol() == 1e-6
+
+    @pytest.mark.parametrize("raw", ["abc", "nan", "inf", "-inf", "0", "-1", ""])
+    def test_rejects_non_finite_or_non_positive(self, monkeypatch, raw):
+        monkeypatch.setenv("QOPCOH_TOL", raw)
+        with pytest.raises(InvalidToleranceError):
+            admission_atol()

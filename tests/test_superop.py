@@ -16,7 +16,9 @@ from qopcoh.channel import (
 )
 from qopcoh.exceptions import (
     InputNotCPTPError,
+    InvalidKrausError,
     NoKrausFormError,
+    NotFiniteError,
     WeightError,
 )
 from qopcoh.linalg import kron, max_abs
@@ -173,9 +175,43 @@ class TestComposeAndCombine:
             convex_combine([0.4, 0.4], [s, s])
         with pytest.raises(WeightError):
             convex_combine([-0.5, 1.5], [s, s])
+        for weights in ([np.nan, 1.0], [np.nan, np.nan], [np.inf, -np.inf]):
+            with pytest.raises(WeightError):
+                convex_combine(weights, [s, s])
+
+
+def product_form_residuals(s):
+    """The membership residuals from the full products with the phase-out matrix."""
+    m = s.matrix
+    t = phase_out(s.d).matrix
+    mt = m @ t
+    tm = t @ m
+    tmt = tm @ t
+    r_miso = max_abs(mt - tmt)
+    r_star = max_abs(tm - tmt)
+    return r_miso, r_star, max(r_miso, r_star, max_abs(mt - tm))
 
 
 class TestClassify:
+    def test_mask_residuals_equal_product_form(self):
+        rng = np.random.default_rng(35)
+        for d in (2, 3):
+            superops = [random_sandwich(d, rng) for _ in range(4)]
+            superops += [sample_class_member(name, d, rng) for name in CLASS_NAMES]
+            for s in superops:
+                rep = classify(s)
+                got = (rep.miso_residual, rep.miso_star_residual, rep.diso_residual)
+                assert got == product_form_residuals(s)
+
+    def test_rejects_non_finite_matrix(self):
+        m = np.array(identity_superoperation(2).matrix)
+        for bad in (np.nan, np.inf):
+            m[3, 5] = bad
+            with pytest.raises(NotFiniteError):
+                Superoperation.from_matrix(m, 2)
+            with pytest.raises(InvalidKrausError):
+                Superoperation.from_kraus_on_choi([np.diag([1.0, 1.0, 1.0, bad])])
+
     def test_phase_out_is_diso_with_zero_residual(self):
         rep = classify(phase_out(2))
         assert rep.in_diso and rep.in_miso and rep.in_miso_star
@@ -235,6 +271,7 @@ class TestCptpPreservation:
     def test_identity_channel(self):
         rep = check_cptp_preservation(identity_operation(2))
         assert rep.ok
+        assert rep == is_cptp(apply(phase_out(2), identity_operation(2)).choi)
 
     def test_random_channels(self):
         rng = np.random.default_rng(31)
