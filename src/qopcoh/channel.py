@@ -36,6 +36,7 @@ from .linalg import (
     max_abs,
     partial_trace_in,
     partial_trace_out,
+    psd_root,
     require_density,
     require_finite,
     require_square,
@@ -91,6 +92,11 @@ class ChoiState:
         """Eigenpairs above the rank cutoff, from the spectrum held since admission."""
         keep = self._eig.eigenvalues > RANK_CUTOFF
         return HermitianEig(self._eig.eigenvalues[keep], self._eig.eigenvectors[:, keep])
+
+    @cached_property
+    def root(self) -> np.ndarray:
+        """Hermitian square root, from the spectrum held since admission."""
+        return psd_root(self._eig)
 
     @property
     def pure_vector(self) -> np.ndarray:
@@ -231,6 +237,7 @@ class QuantumOperation:
             raise DimensionMismatchError(f"state shape {r.shape} does not match dim {self.dim}")
         if self.kind == "choi":
             return apply_via_choi(self._choi, r)
+        require_density(r)
         return sum(k @ r @ dagger(k) for k in self.kraus_operators)
 
 

@@ -18,8 +18,12 @@ evaluated here directly from |U[0,0]| and |U[0,1]|.
 Mixed Choi states get the convex-roof extension: minimize the ensemble
 average of the pure measure over all pure-Choi ensembles realizing the
 state.  The estimator below parameterizes ensembles through isometries
-acting on the eigendecomposition and performs seeded random-restart local
-descent, so its result is an upper bound on the roof.
+acting on the eigendecomposition and runs seeded local descent from
+several starting points at once, as lanes of one stack: every move turns
+two rows of each lane by a drawn angle and by its mirror image, rescores
+only those two rows, and keeps the better turn if it helps.  The descent
+stops as soon as a lane reaches zero, the least value possible.  The
+result is an upper bound on the roof.
 """
 
 import math
@@ -63,9 +67,13 @@ def uhlmann_fidelity(rho, sigma) -> float:
     s, s_eig = require_density(sigma, what="sigma")
     if r.shape != s.shape:
         raise DimensionMismatchError(f"shape mismatch {r.shape} vs {s.shape}")
-    singular_values = np.linalg.svd(psd_root(r_eig) @ psd_root(s_eig), compute_uv=False)
-    f = float(singular_values.sum() ** 2)
-    return min(max(f, 0.0), 1.0)
+    return fidelity_from_roots(psd_root(r_eig), psd_root(s_eig))
+
+
+def fidelity_from_roots(root_rho: np.ndarray, root_sigma: np.ndarray) -> float:
+    """Uhlmann fidelity from the square roots of two admitted states."""
+    singular_values = np.linalg.svd(root_rho @ root_sigma, compute_uv=False)
+    return min(max(float(singular_values.sum() ** 2), 0.0), 1.0)
 
 
 def operation_fidelity(a: QuantumOperation, b: QuantumOperation) -> float:
@@ -222,29 +230,49 @@ def max_coherent_operation(thetas, d: int = 2) -> QuantumOperation:
 
 _STALL_WINDOW = 200
 _IMPROVE_TOL = 1e-10
+_REJECTS_PER_SHRINK = 40
+_POLAR_PERIOD = 500
+_ZERO = 1e-13
+# A Givens move on rows (p, q) by angle t and phase e^{i phi} is the 2x2
+# matrix cos(t) I + sin(t) [[0, -e^{-i phi}], [e^{i phi}, 0]].  Rows 0-1 of
+# a stacked 4x2 generator turn by +t, rows 2-3 by -t (the phase negated).
+_MIRRORED_COS = np.array([[1, 0], [0, 1], [1, 0], [0, 1]], dtype=complex)
 
 
-def _roof_objective(v: np.ndarray, a_t: np.ndarray) -> float:
-    psi = v @ a_t
+def _row_terms(psi: np.ndarray) -> np.ndarray:
+    """sqrt(p_n (p_n - max_k |psi_nk|^2)) for each row n, p_n = |psi_n|^2.
+
+    That is p_n times the pure measure of the normalized row; the float sum
+    p_n is never below its largest term, so the product is never negative.
+    """
     mod2 = np.abs(psi) ** 2
-    p = mod2.sum(axis=1)
-    mx = mod2.max(axis=1)
-    return float(np.sqrt(np.clip(p * (p - mx), 0.0, None)).sum())
+    p = mod2.sum(axis=-1)
+    return np.sqrt(p * (p - mod2.max(axis=-1)))
 
 
-def _random_isometry(m: int, r: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
-    q, _ = np.linalg.qr(z)
-    return q[:, :r]
+def _random_isometries(count: int, m: int, r: int, rng: np.random.Generator) -> np.ndarray:
+    z = rng.standard_normal((count, m, r)) + 1j * rng.standard_normal((count, m, r))
+    return np.linalg.qr(z)[0]
 
 
-def _reorthonormalize(v: np.ndarray) -> np.ndarray:
-    # Polar correction toward the nearest isometry; phase-free, so the
-    # objective moves only by the accumulated drift it removes.
+def _polar(v: np.ndarray) -> np.ndarray:
+    # Polar correction of each m x r matrix toward the nearest isometry;
+    # phase-free, so the objective moves only by the drift it removes.
     s = dagger(v) @ v
     w, u = np.linalg.eigh((s + dagger(s)) / 2)
-    inv_root = (u * (1.0 / np.sqrt(np.clip(w, 1e-300, None)))) @ dagger(u)
+    inv_root = (u / np.sqrt(np.clip(w, 1e-300, None))[..., None, :]) @ dagger(u)
     return v @ inv_root
+
+
+def _mirrored_turns(phases: np.ndarray) -> np.ndarray:
+    """The sin(t) parts of the stacked 4x2 generators, one per phase."""
+    e = np.exp(1j * phases)
+    turns = np.zeros(phases.shape + (4, 2), dtype=complex)
+    turns[..., 0, 1] = -e.conj()
+    turns[..., 1, 0] = e
+    turns[..., 2, 1] = e.conj()
+    turns[..., 3, 0] = -e
+    return turns
 
 
 def mf_convex_roof(
@@ -259,12 +287,25 @@ def mf_convex_roof(
     The Choi state C = sum_i lam_i |e_i><e_i| (rank r) is decomposed into
     ensembles |psi~_n> = sum_i V[n,i] sqrt(lam_i) |e_i> through m x r
     isometries V, which sweep every ensemble of cardinality m.  The
-    objective sum_n p_n sqrt(1 - max_k |<k|psi_n>|^2) is minimized by
-    seeded random restarts plus local descent over Givens rotations of V
-    with shrinking step sizes.  Pure inputs short-circuit to mf_pure.
+    objective sum_n p_n sqrt(1 - max_k |<k|psi_n>|^2) is minimized by local
+    descent over Givens rotations of V from ``restarts`` starting points:
+    the eigendecomposition ensemble and random isometries.  Pure inputs
+    short-circuit to mf_pure.
 
-    The returned history holds the best value after each restart and is
-    nonincreasing; the returned ensemble reconstructs C to 1e-8.
+    The starting points run in lockstep as lanes of one stack holding the
+    rows [V | psi] of each lane and its per-row objective terms.  A move
+    turns two rows of every lane by a drawn angle and its mirror image
+    (psi is linear in V, so its rows turn with V's), rescores only those
+    two rows, and keeps the better turn when it lowers the lane's value.
+    Each lane shrinks its step after 40 rejections and halts after 200
+    moves without a gain above 1e-10; every 500 moves the stack is polar
+    corrected.  The descent ends when every lane has halted, after
+    ``max_iter`` moves, or as soon as a lane reaches zero, which no
+    ensemble can beat.
+
+    The returned history is the running minimum of the lanes' values in
+    lane order, so it has ``restarts`` entries and is nonincreasing; the
+    returned ensemble reconstructs C to 1e-8 and attains the returned value.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
@@ -279,53 +320,68 @@ def mf_convex_roof(
     a_t = (vecs * np.sqrt(lam)).T  # rows: sqrt(lam_i) e_i
     rng = rng_from(seed)
 
-    best_value = math.inf
-    best_v = None
-    history = []
-    for restart in range(restarts):
-        if restart == 0:
-            # warm start from the eigendecomposition ensemble itself
-            v = np.zeros((m, r), dtype=complex)
-            v[:r, :r] = np.eye(r)
-        else:
-            v = _random_isometry(m, r, rng)
-        value = _roof_objective(v, a_t)
-        step = 0.5
-        rejects = 0
-        since_improvement = 0
-        for it in range(max_iter):
-            p_row, q_row = rng.choice(m, size=2, replace=False)
-            angle = step * rng.uniform(-1.0, 1.0)
-            phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-            c, s = math.cos(angle), math.sin(angle)
-            candidate = v.copy()
-            candidate[p_row] = c * v[p_row] - np.conj(phase) * s * v[q_row]
-            candidate[q_row] = phase * s * v[p_row] + c * v[q_row]
-            cand_value = _roof_objective(candidate, a_t)
-            if cand_value < value:
-                since_improvement = 0 if value - cand_value > _IMPROVE_TOL else since_improvement + 1
-                v, value = candidate, cand_value
-                rejects = 0
-            else:
-                rejects += 1
-                since_improvement += 1
-                if rejects >= 40:
-                    step = max(step * 0.7, 1e-6)
-                    rejects = 0
-            if (it + 1) % 500 == 0:
-                v = _reorthonormalize(v)
-                value = _roof_objective(v, a_t)
-            if value <= 1e-13 or since_improvement >= _STALL_WINDOW:
+    lanes = np.arange(restarts)
+    v = np.empty((restarts, m, r), dtype=complex)
+    v[0] = np.eye(m, r)  # warm start from the eigendecomposition ensemble itself
+    v[1:] = _random_isometries(restarts - 1, m, r, rng)
+    stack = np.concatenate([v, v @ a_t], axis=2)
+    terms = _row_terms(stack[:, :, r:])
+    step = np.full(restarts, 0.5)
+    # The lane schedule, kept as move numbers: a lane may move while
+    # it <= deadline, _STALL_WINDOW moves after its last gain above
+    # _IMPROVE_TOL, and shrinks its step _REJECTS_PER_SHRINK moves after
+    # reset_at, its last acceptance or shrink, unless it accepts first.
+    # next_shrink and last_deadline are the earliest and latest of these.
+    deadline = np.full(restarts, _STALL_WINDOW - 1)
+    reset_at = np.full(restarts, -1)
+    next_shrink, last_deadline = _REJECTS_PER_SHRINK - 1, _STALL_WINDOW - 1
+    done = terms.sum(axis=1).min() <= _ZERO or m < 2  # one row has no move
+    for it in range(0 if done else max_iter):
+        k = it % _POLAR_PERIOD
+        if k == 0:
+            # the randomness of the next polar period, drawn at once; whole
+            # periods, so a run is a prefix of any run with a larger max_iter
+            shape = (_POLAR_PERIOD, restarts)
+            rows = rng.integers(m, size=shape)
+            pairs = np.stack([rows, (rows + rng.integers(1, m, size=shape)) % m], axis=-1)
+            spins = rng.uniform(-1.0, 1.0, size=shape)
+            turns = _mirrored_turns(rng.uniform(0.0, 2.0 * math.pi, size=shape))
+        pq = pairs[k]
+        rot = np.exp(1j * step * spins[k])[:, None, None]
+        gen = rot.real * _MIRRORED_COS + rot.imag * turns[k]
+        moved = gen @ stack[lanes[:, None], pq]  # rows p, q turned by +angle, then by -angle
+        moved_terms = _row_terms(moved[:, :, r:]).reshape(restarts, 2, 2)
+        trial = moved_terms.sum(axis=2)
+        gain = terms[lanes[:, None], pq].sum(axis=1) - trial.min(axis=1)
+        accept = (gain > 0) & (it <= deadline)
+        if accept.any():
+            a = lanes[accept]
+            sign = trial[a].argmin(axis=1)
+            stack[a[:, None], pq[a]] = moved.reshape(restarts, 2, 2, -1)[a, sign]
+            terms[a[:, None], pq[a]] = moved_terms[a, sign]
+            if terms[a].sum(axis=1).min() <= _ZERO:
                 break
-        if value < best_value:
-            best_value, best_v = value, v
-        history.append(best_value)
+            deadline[a[gain[a] > _IMPROVE_TOL]] = it + _STALL_WINDOW
+            reset_at[a] = it
+            next_shrink, last_deadline = reset_at.min() + _REJECTS_PER_SHRINK, deadline.max()
+        if it == next_shrink:
+            shrink = reset_at == it - _REJECTS_PER_SHRINK
+            step[shrink] = np.maximum(step[shrink] * 0.7, 1e-6)
+            reset_at[shrink] = it
+            next_shrink = reset_at.min() + _REJECTS_PER_SHRINK
+        if (it + 1) % _POLAR_PERIOD == 0:
+            v = _polar(stack[:, :, :r])
+            stack = np.concatenate([v, v @ a_t], axis=2)
+            terms = _row_terms(stack[:, :, r:])
+            if terms.sum(axis=1).min() <= _ZERO:
+                break
+        if it >= last_deadline:
+            break
 
-    best_v = _reorthonormalize(best_v)
-    best_value = min(best_value, _roof_objective(best_v, a_t))
-    psi = best_v @ a_t
-    weights = np.abs(psi) ** 2
-    p = weights.sum(axis=1)
+    values = terms.sum(axis=1)
+    history = tuple(float(h) for h in np.minimum.accumulate(values))
+    psi = _polar(stack[np.argmin(values), :, :r]) @ a_t
+    p = (np.abs(psi) ** 2).sum(axis=1)
     kept = p > 1e-12
     members = tuple(
         QuantumOperation.from_choi(ChoiState(np.outer(row, row.conj()) / pn, choi.d))
@@ -336,10 +392,10 @@ def mf_convex_roof(
     if not residual <= 1e-8:
         raise InvalidChoiError(f"optimizer ensemble fails to reconstruct the input ({residual:.2e})")
     return MeasureResult(
-        value=best_value,
+        value=float(_row_terms(psi[kept]).sum()),
         kind="convex_roof_upper_bound",
         ensemble=ensemble,
-        history=tuple(history),
+        history=history,
     )
 
 

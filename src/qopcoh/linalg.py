@@ -43,7 +43,8 @@ def max_abs(a) -> float:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return np.swapaxes(a.conj(), -1, -2)
 
 
 def require_square(a: np.ndarray) -> int:

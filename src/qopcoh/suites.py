@@ -24,10 +24,10 @@ from .channel import (
 from .coherence import (
     SQRT2_OVER_2,
     SQRT3_OVER_2,
+    fidelity_from_roots,
     max_coherent_operation,
     mf_pure,
     mf_single_qubit_unitary,
-    uhlmann_fidelity,
     verify_axioms,
 )
 from .exceptions import UnknownSuiteError
@@ -50,15 +50,17 @@ SUITE_NAMES = ("theorem11", "theorem12", "theorem21", "corollary32", "axioms", "
 def mf_pure_brute_force(choi: ChoiState) -> float:
     """Minimum of sqrt(1 - F) over the incoherent basis states, by brute force.
 
-    Runs every basis state through the general Uhlmann fidelity; serves as
-    the independent oracle for the closed-form single-qubit measure.
+    Runs every basis state through the general Uhlmann fidelity, with the
+    root of the admitted Choi state taken once (a basis projector is its own
+    root); serves as the independent oracle for the closed-form single-qubit
+    measure.
     """
     n = choi.d * choi.d
     best = math.inf
     for m in range(n):
         basis = np.zeros((n, n), dtype=complex)
         basis[m, m] = 1.0
-        f = uhlmann_fidelity(choi.matrix, basis)
+        f = fidelity_from_roots(choi.root, basis)
         best = min(best, math.sqrt(max(1.0 - f, 0.0)))
     return best
 
@@ -236,7 +238,13 @@ _SUITES = {
 
 
 def run_suite(name: str, samples: int, seed) -> list:
-    """Run one named suite (or all of them) and return its check list."""
+    """Run one named suite (or all of them) and return its check list.
+
+    A suite that drew nothing would pass without checking anything, so
+    ``samples`` must be at least 1.
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     if name == "all":
         checks = []
         rng = rng_from(seed)

@@ -100,6 +100,12 @@ class TestApplyViaChoi:
         for bad in (np.nan, np.inf):
             with pytest.raises(NotDensityMatrixError):
                 apply_via_choi(choi, np.diag([bad, 0.5]))
+        # the unitary and Kraus paths of apply admit the state as the Choi path does
+        ops = (identity_operation(2), dephasing_operation(2), QuantumOperation.from_choi(choi))
+        for op in ops:
+            for state in (np.diag([2.0, -1.0]), np.diag([np.nan, 0.5])):
+                with pytest.raises(NotDensityMatrixError):
+                    op.apply(state)
 
 
 class TestMatrixElements:

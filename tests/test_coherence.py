@@ -18,6 +18,7 @@ from qopcoh.channel import (
     pauli_x_operation,
     pauli_z_operation,
     random_density_matrix,
+    random_incoherent_cptp,
     random_unitary,
 )
 from qopcoh.coherence import (
@@ -269,6 +270,43 @@ class TestConvexRoof:
         for weights in ([0.5], [np.nan], [-1.0]):
             with pytest.raises(ValueError):
                 Ensemble(weights=np.array(weights), members=member)
+
+    def test_incoherent_mixture_stops_at_zero(self):
+        rng = np.random.default_rng(12)
+        mixed = mix_operations([0.4, 0.6], [random_incoherent_cptp(2, rng), random_incoherent_cptp(2, rng)])
+        res = mf_convex_roof(mixed, restarts=6, max_iter=600, seed=13)
+        assert res.value == 0.0
+        assert res.history == (0.0,) * 6
+
+    def test_seeded_runs_are_identical(self):
+        mixed = mix_operations([0.7, 0.3], [hadamard_operation(), identity_operation(2)])
+        runs = [
+            mf_convex_roof(mixed, restarts=5, max_iter=300, seed=seed)
+            for seed in (14, 14, np.random.default_rng(14))
+        ]
+        for other in runs[1:]:
+            assert other.value == runs[0].value
+            assert other.history == runs[0].history
+            assert np.array_equal(other.ensemble.weights, runs[0].ensemble.weights)
+
+    def test_value_is_what_the_ensemble_attains(self):
+        rng = np.random.default_rng(15)
+        mixed = mix_operations([0.55, 0.45], [random_unitary(2, rng), random_unitary(2, rng)])
+        res = mf_convex_roof(mixed, restarts=4, max_iter=500, seed=16)
+        attained = 0.0
+        for w, member in zip(res.ensemble.weights, res.ensemble.members):
+            # 1 - max C_kk as the sum of the other diagonal entries keeps its digits
+            diag = np.sort(np.real(np.diag(member.choi.matrix)))
+            attained += w * math.sqrt(max(float(diag[:-1].sum()), 0.0))
+        assert abs(res.value - attained) <= 1e-12
+        assert res.value <= res.history[-1] + 1e-12
+
+    def test_smallest_ensemble_size(self):
+        mixed = mix_operations([0.7, 0.3], [hadamard_operation(), identity_operation(2)])
+        rank = mixed.choi.support().eigenvalues.size
+        res = mf_convex_roof(mixed, restarts=3, max_iter=300, seed=17, ensemble_size=rank)
+        assert len(res.ensemble.members) <= rank
+        assert max_abs(res.ensemble.reconstruction() - mixed.choi.matrix) <= 1e-8
 
 
 class TestDispatch:

@@ -28,6 +28,7 @@ from qopcoh.documents import (
 )
 from qopcoh.exceptions import ParseError
 from qopcoh.linalg import max_abs
+from qopcoh.suites import run_suite
 from qopcoh.superop import Superoperation, phase_out
 
 
@@ -317,6 +318,13 @@ class TestCliVerifyAndRandom:
     def test_verify_requires_seed(self):
         result = self.runner.invoke(main, ["verify", "--suite", "theorem11"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("suite", ["theorem12", "theorem21", "corollary32", "all"])
+    def test_run_suite_rejects_nonpositive_samples(self, suite):
+        # with no samples a suite would pass without checking anything
+        for samples in (0, -5):
+            with pytest.raises(ValueError):
+                run_suite(suite, samples, 1)
 
     def test_random_deterministic(self):
         args = ["random", "--kind", "cptp", "--d", "2", "--seed", "5"]
