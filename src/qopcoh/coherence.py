@@ -17,13 +17,18 @@ evaluated here directly from |U[0,0]| and |U[0,1]|.
 
 Mixed Choi states get the convex-roof extension: minimize the ensemble
 average of the pure measure over all pure-Choi ensembles realizing the
-state.  The estimator below parameterizes ensembles through isometries
-acting on the eigendecomposition and runs seeded local descent from
-several starting points at once, as lanes of one stack: every move turns
-two rows of each lane by a drawn angle and by its mirror image, rescores
-only those two rows, and keeps the better turn if it helps.  The descent
-stops as soon as a lane reaches zero, the least value possible.  The
-result is an upper bound on the roof.
+state.  The estimator below parameterizes ensembles through isometries V
+acting on the eigendecomposition and runs Riemannian gradient descent on
+them (Roethlisberger, Lehmann & Loss, PRA 80, 042301, 2009, on the
+geometry of Edelman, Arias & Smith, SIAM J. Matrix Anal. Appl. 20, 303,
+1998) from several seeded starting points at once, as lanes of one stack.
+Each step takes the Euclidean gradient G of the ensemble value, projects
+it onto the tangent space of the isometries, G - V herm(V^dagger G), and
+retracts the moved V to the nearest isometry by its polar factor.  A lane
+keeps a step only if it lowers the value, and then lengthens its next
+step by 1.3; a rejected step halves it.  A lane stops when its relative
+gain or its step gets too small, and every lane stops once one reaches
+zero, the least value possible.  The result is an upper bound on the roof.
 """
 
 import math
@@ -228,15 +233,11 @@ def max_coherent_operation(thetas, d: int = 2) -> QuantumOperation:
 # Convex-roof estimation
 # ---------------------------------------------------------------------------
 
-_STALL_WINDOW = 200
-_IMPROVE_TOL = 1e-10
-_REJECTS_PER_SHRINK = 40
-_POLAR_PERIOD = 500
+# Near a kink of max_k |psi_nk|^2 a lane creeps on with gains of 1e-7 to
+# 1e-6 of its value per step; a tighter stop would run it to max_iter.
+_IMPROVE_TOL = 1e-6
+_STEP_FLOOR = 1e-12
 _ZERO = 1e-13
-# A Givens move on rows (p, q) by angle t and phase e^{i phi} is the 2x2
-# matrix cos(t) I + sin(t) [[0, -e^{-i phi}], [e^{i phi}, 0]].  Rows 0-1 of
-# a stacked 4x2 generator turn by +t, rows 2-3 by -t (the phase negated).
-_MIRRORED_COS = np.array([[1, 0], [0, 1], [1, 0], [0, 1]], dtype=complex)
 
 
 def _row_terms(psi: np.ndarray) -> np.ndarray:
@@ -256,23 +257,35 @@ def _random_isometries(count: int, m: int, r: int, rng: np.random.Generator) -> 
 
 
 def _polar(v: np.ndarray) -> np.ndarray:
-    # Polar correction of each m x r matrix toward the nearest isometry;
-    # phase-free, so the objective moves only by the drift it removes.
+    # The isometry nearest to each m x r matrix, v (v^dagger v)^(-1/2).
     s = dagger(v) @ v
     w, u = np.linalg.eigh((s + dagger(s)) / 2)
     inv_root = (u / np.sqrt(np.clip(w, 1e-300, None))[..., None, :]) @ dagger(u)
     return v @ inv_root
 
 
-def _mirrored_turns(phases: np.ndarray) -> np.ndarray:
-    """The sin(t) parts of the stacked 4x2 generators, one per phase."""
-    e = np.exp(1j * phases)
-    turns = np.zeros(phases.shape + (4, 2), dtype=complex)
-    turns[..., 0, 1] = -e.conj()
-    turns[..., 1, 0] = e
-    turns[..., 2, 1] = e.conj()
-    turns[..., 3, 0] = -e
-    return turns
+def _tangent_gradient(v: np.ndarray, a_t: np.ndarray) -> np.ndarray:
+    """Gradient of sum_n f_n at the isometries v, projected onto their tangent space.
+
+    f_n = sqrt(p_n (p_n - q_n)) with psi = v a_t, p_n = |psi_n|^2 and
+    q_n = |psi_nk*|^2 at the row's largest entry k*.  Holding k* fixed, the
+    Wirtinger derivative of f_n with respect to conj(psi_n) is
+    Z = ((2 p_n - q_n) psi_n - p_n psi_nk* e_k*) / (2 f_n), and 0 on rows
+    with f_n = 0.  Z pulls back to G = Z a_t^dagger, and the returned
+    projection xi = G - v herm(v^dagger G) keeps the part tangent to the
+    isometries: along a tangent Y the value moves by 2 Re tr(xi^dagger Y)
+    to first order.
+    """
+    psi = v @ a_t
+    mod2 = np.abs(psi) ** 2
+    p = mod2.sum(axis=-1, keepdims=True)
+    q = mod2.max(axis=-1, keepdims=True)
+    top = np.arange(mod2.shape[-1]) == mod2.argmax(axis=-1)[..., None]
+    f = np.sqrt(p * (p - q))
+    z = psi * ((2.0 * p - q - p * top) / np.where(f > 0, 2.0 * f, np.inf))
+    g = z @ dagger(a_t)
+    vg = dagger(v) @ g
+    return g - v @ ((vg + dagger(vg)) / 2)
 
 
 def mf_convex_roof(
@@ -287,20 +300,20 @@ def mf_convex_roof(
     The Choi state C = sum_i lam_i |e_i><e_i| (rank r) is decomposed into
     ensembles |psi~_n> = sum_i V[n,i] sqrt(lam_i) |e_i> through m x r
     isometries V, which sweep every ensemble of cardinality m.  The
-    objective sum_n p_n sqrt(1 - max_k |<k|psi_n>|^2) is minimized by local
-    descent over Givens rotations of V from ``restarts`` starting points:
-    the eigendecomposition ensemble and random isometries.  Pure inputs
-    short-circuit to mf_pure.
+    objective sum_n p_n sqrt(1 - max_k |<k|psi_n>|^2) is minimized by
+    Riemannian gradient descent on the isometries from ``restarts``
+    starting points: the eigendecomposition ensemble and random
+    isometries.  Pure inputs short-circuit to mf_pure.
 
-    The starting points run in lockstep as lanes of one stack holding the
-    rows [V | psi] of each lane and its per-row objective terms.  A move
-    turns two rows of every lane by a drawn angle and its mirror image
-    (psi is linear in V, so its rows turn with V's), rescores only those
-    two rows, and keeps the better turn when it lowers the lane's value.
-    Each lane shrinks its step after 40 rejections and halts after 200
-    moves without a gain above 1e-10; every 500 moves the stack is polar
-    corrected.  The descent ends when every lane has halted, after
-    ``max_iter`` moves, or as soon as a lane reaches zero, which no
+    The starting points run in lockstep as lanes of one (restarts, m, r)
+    stack.  Each step takes every lane's gradient, projects it onto the
+    lane's tangent space (``_tangent_gradient``), moves against it by the
+    lane's step size and retracts to the nearest isometry by the polar
+    factor.  A lane keeps the step only when it lowers the lane's value;
+    its step size then grows by 1.3, and otherwise halves.  A lane halts
+    when an accepted step gains less than 1e-6 of its value or its step
+    size falls below 1e-12.  The descent ends when every lane has halted,
+    after ``max_iter`` steps, or as soon as a lane reaches zero, which no
     ensemble can beat.
 
     The returned history is the running minimum of the lanes' values in
@@ -320,67 +333,26 @@ def mf_convex_roof(
     a_t = (vecs * np.sqrt(lam)).T  # rows: sqrt(lam_i) e_i
     rng = rng_from(seed)
 
-    lanes = np.arange(restarts)
     v = np.empty((restarts, m, r), dtype=complex)
     v[0] = np.eye(m, r)  # warm start from the eigendecomposition ensemble itself
     v[1:] = _random_isometries(restarts - 1, m, r, rng)
-    stack = np.concatenate([v, v @ a_t], axis=2)
-    terms = _row_terms(stack[:, :, r:])
+    values = _row_terms(v @ a_t).sum(axis=1)
     step = np.full(restarts, 0.5)
-    # The lane schedule, kept as move numbers: a lane may move while
-    # it <= deadline, _STALL_WINDOW moves after its last gain above
-    # _IMPROVE_TOL, and shrinks its step _REJECTS_PER_SHRINK moves after
-    # reset_at, its last acceptance or shrink, unless it accepts first.
-    # next_shrink and last_deadline are the earliest and latest of these.
-    deadline = np.full(restarts, _STALL_WINDOW - 1)
-    reset_at = np.full(restarts, -1)
-    next_shrink, last_deadline = _REJECTS_PER_SHRINK - 1, _STALL_WINDOW - 1
-    done = terms.sum(axis=1).min() <= _ZERO or m < 2  # one row has no move
-    for it in range(0 if done else max_iter):
-        k = it % _POLAR_PERIOD
-        if k == 0:
-            # the randomness of the next polar period, drawn at once; whole
-            # periods, so a run is a prefix of any run with a larger max_iter
-            shape = (_POLAR_PERIOD, restarts)
-            rows = rng.integers(m, size=shape)
-            pairs = np.stack([rows, (rows + rng.integers(1, m, size=shape)) % m], axis=-1)
-            spins = rng.uniform(-1.0, 1.0, size=shape)
-            turns = _mirrored_turns(rng.uniform(0.0, 2.0 * math.pi, size=shape))
-        pq = pairs[k]
-        rot = np.exp(1j * step * spins[k])[:, None, None]
-        gen = rot.real * _MIRRORED_COS + rot.imag * turns[k]
-        moved = gen @ stack[lanes[:, None], pq]  # rows p, q turned by +angle, then by -angle
-        moved_terms = _row_terms(moved[:, :, r:]).reshape(restarts, 2, 2)
-        trial = moved_terms.sum(axis=2)
-        gain = terms[lanes[:, None], pq].sum(axis=1) - trial.min(axis=1)
-        accept = (gain > 0) & (it <= deadline)
-        if accept.any():
-            a = lanes[accept]
-            sign = trial[a].argmin(axis=1)
-            stack[a[:, None], pq[a]] = moved.reshape(restarts, 2, 2, -1)[a, sign]
-            terms[a[:, None], pq[a]] = moved_terms[a, sign]
-            if terms[a].sum(axis=1).min() <= _ZERO:
-                break
-            deadline[a[gain[a] > _IMPROVE_TOL]] = it + _STALL_WINDOW
-            reset_at[a] = it
-            next_shrink, last_deadline = reset_at.min() + _REJECTS_PER_SHRINK, deadline.max()
-        if it == next_shrink:
-            shrink = reset_at == it - _REJECTS_PER_SHRINK
-            step[shrink] = np.maximum(step[shrink] * 0.7, 1e-6)
-            reset_at[shrink] = it
-            next_shrink = reset_at.min() + _REJECTS_PER_SHRINK
-        if (it + 1) % _POLAR_PERIOD == 0:
-            v = _polar(stack[:, :, :r])
-            stack = np.concatenate([v, v @ a_t], axis=2)
-            terms = _row_terms(stack[:, :, r:])
-            if terms.sum(axis=1).min() <= _ZERO:
-                break
-        if it >= last_deadline:
+    active = np.ones(restarts, dtype=bool)
+    for _ in range(max_iter):
+        if values.min() <= _ZERO or not active.any():
             break
+        trial = _polar(v - step[:, None, None] * _tangent_gradient(v, a_t))
+        trial_values = _row_terms(trial @ a_t).sum(axis=1)
+        gain = values - trial_values
+        accept = active & (gain > 0)
+        step = np.where(accept, 1.3 * step, 0.5 * step)
+        active &= ~(accept & (gain <= _IMPROVE_TOL * values)) & (step >= _STEP_FLOOR)
+        v[accept] = trial[accept]
+        values[accept] = trial_values[accept]
 
-    values = terms.sum(axis=1)
     history = tuple(float(h) for h in np.minimum.accumulate(values))
-    psi = _polar(stack[np.argmin(values), :, :r]) @ a_t
+    psi = v[np.argmin(values)] @ a_t
     p = (np.abs(psi) ** 2).sum(axis=1)
     kept = p > 1e-12
     members = tuple(

@@ -123,9 +123,10 @@ def superoperation_from_document(doc: dict) -> Superoperation:
         if kind == "sandwich":
             if "post" not in doc or "pre" not in doc:
                 raise ParseError("sandwich document needs post and pre operation documents")
-            return Superoperation.from_sandwich(
-                operation_from_document(doc["post"]), operation_from_document(doc["pre"])
-            )
+            post, pre = operation_from_document(doc["post"]), operation_from_document(doc["pre"])
+            if post.dim != d or pre.dim != d:
+                raise ParseError(f"sandwich document declares d = {d}, its halves {post.dim} and {pre.dim}")
+            return Superoperation.from_sandwich(post, pre)
         if kind == "kraus_on_choi":
             ks = [matrix_from_json(m) for m in doc.get("matrices", [])]
             if any(k.shape != (d * d, d * d) for k in ks):

@@ -386,13 +386,14 @@ def closure_harness(class_name: str, samples: int, seed, d: int = 2) -> ClosureR
     Draws ``samples`` pairs of verified class members; composes them and
     combines them convexly at the fixed weight grid, classifying every
     result.  Also records whether the de-phase incoherent verdict always
-    equals the conjunction of the other two.
+    agrees with the commutation form of the paper, M T = T M.
     """
     name = class_name.lower().replace("*", "_star").replace("-", "_")
     if name not in CLASS_NAMES:
         raise ValueError(f"unknown class {class_name!r}")
     rng = rng_from(seed)
     report = ClosureReport(class_name=name, pairs=samples)
+    theta = phase_out(d).matrix
     for i in range(samples):
         s1 = sample_class_member(name, d, rng)
         s2 = sample_class_member(name, d, rng)
@@ -412,6 +413,7 @@ def closure_harness(class_name: str, samples: int, seed, d: int = 2) -> ClosureR
             )
             if not in_class:
                 report.violations.append(ClosureViolation(name, i, kind, verdict))
-            if verdict.in_diso != (verdict.in_miso and verdict.in_miso_star):
+            m = candidate.matrix
+            if verdict.in_diso != (max_abs(m @ theta - theta @ m) <= admission_atol()):
                 report.intersection_consistent = False
     return report

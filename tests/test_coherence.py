@@ -1,6 +1,7 @@
 """Fidelity, the measure in its three forms, and the axiom harness."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from qopcoh.channel import (
     mix_operations,
     pauli_x_operation,
     pauli_z_operation,
+    random_cptp,
     random_density_matrix,
     random_incoherent_cptp,
     random_unitary,
@@ -36,6 +38,7 @@ from qopcoh.coherence import (
     unitary_from_euler,
     verify_axioms,
 )
+from qopcoh.coherence import _random_isometries, _row_terms, _tangent_gradient
 from qopcoh.exceptions import (
     MethodInapplicableError,
     NotDensityMatrixError,
@@ -43,7 +46,7 @@ from qopcoh.exceptions import (
     NotUnitaryError,
     UnsupportedDimError,
 )
-from qopcoh.linalg import max_abs
+from qopcoh.linalg import dagger, max_abs
 
 
 class TestUhlmannFidelity:
@@ -307,6 +310,52 @@ class TestConvexRoof:
         res = mf_convex_roof(mixed, restarts=3, max_iter=300, seed=17, ensemble_size=rank)
         assert len(res.ensemble.members) <= rank
         assert max_abs(res.ensemble.reconstruction() - mixed.choi.matrix) <= 1e-8
+
+    def test_direction_matches_finite_difference(self):
+        # xi is tangent (v^dagger xi skew-Hermitian), and along a tangent Y
+        # the value moves by 2 Re tr(xi^dagger Y)
+        rng = np.random.default_rng(18)
+        h = 1e-6
+        for _ in range(10):
+            lam, vecs = random_cptp(2, 4, rng).choi.support()
+            a_t = (vecs * np.sqrt(lam)).T
+            r = lam.size
+            v = _random_isometries(1, r * r, r, rng)[0]
+            y = rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
+            vy = dagger(v) @ y
+            y -= v @ ((vy + dagger(vy)) / 2)
+
+            def value(w):
+                return float(_row_terms(w @ a_t).sum())
+
+            xi = _tangent_gradient(v, a_t)
+            vxi = dagger(v) @ xi
+            assert max_abs(vxi + dagger(vxi)) <= 1e-12
+            numeric = (value(v + h * y) - value(v - h * y)) / (2 * h)
+            exact = 2 * float(np.real(np.vdot(xi, y)))
+            assert abs(numeric - exact) <= 1e-7
+
+    def test_peak_memory_at_256_restarts(self):
+        op = random_cptp(2, 4, np.random.default_rng(19))
+        assert op.choi.support().eigenvalues.size == 4
+        tracemalloc.start()
+        try:
+            mf_convex_roof(op, restarts=256, max_iter=100, seed=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    def test_descent_stops_by_convergence(self):
+        rng = np.random.default_rng(21)
+        for op in (
+            mix_operations([0.7, 0.3], [hadamard_operation(), identity_operation(2)]),
+            random_cptp(2, 3, rng),
+            mix_operations([0.55, 0.45], [random_unitary(2, rng), random_unitary(2, rng)]),
+        ):
+            capped, free = (mf_convex_roof(op, restarts=6, max_iter=n, seed=22) for n in (2000, 20000))
+            assert capped.value == free.value
+            assert capped.history == free.history
 
 
 class TestDispatch:

@@ -425,6 +425,13 @@ class TestCliFailsClosed:
         assert result.stderr.startswith("error: ")
         assert result.stdout == ""
 
+    def test_sandwich_declaring_another_d(self, tmp_path):
+        out = str(tmp_path / "s.json")
+        self.runner.invoke(main, ["random", "--kind", "superop", "--d", "2", "--seed", "4", "--out", out])
+        doc = json.loads((tmp_path / "s.json").read_text())
+        doc["d"] = 3
+        self.assert_usage_error(["classify", write_doc(tmp_path, "s3.json", doc)])
+
     def test_nan_superoperation_matrix(self, tmp_path):
         s = Superoperation.from_matrix(phase_out(2).matrix, 2)
         doc = superoperation_to_document(s)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qopcoh import superop
 from qopcoh.channel import (
     QuantumOperation,
     dephasing_operation,
@@ -24,6 +25,7 @@ from qopcoh.exceptions import (
 from qopcoh.linalg import kron, max_abs
 from qopcoh.superop import (
     CLASS_NAMES,
+    ClassificationReport,
     Superoperation,
     apply,
     check_cptp_preservation,
@@ -312,6 +314,16 @@ class TestSamplingAndClosure:
             rep = closure_harness(name, 15, seed=33)
             assert rep.ok, f"{name}: {rep.violations}"
             assert rep.intersection_consistent
+
+    def test_intersection_check_can_fail(self, monkeypatch):
+        # a classifier that puts everything in all three classes agrees with
+        # its own conjunction, but not with the commutation form M T = T M
+        def everything(s):
+            return ClassificationReport(True, True, True, 0.0, 0.0, 0.0)
+
+        monkeypatch.setattr(superop, "classify", everything)
+        rep = closure_harness("miso", 3, seed=35)
+        assert not rep.intersection_consistent
 
     def test_incoherent_cptp_sandwich_members_are_miso(self):
         rng = np.random.default_rng(34)
