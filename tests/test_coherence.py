@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qopcoh import coherence
 from qopcoh.channel import (
     HADAMARD,
     PAULI_X,
@@ -346,16 +347,30 @@ class TestConvexRoof:
             tracemalloc.stop()
         assert peak < 4e6
 
-    def test_descent_stops_by_convergence(self):
+    def test_descent_length_is_fixed(self, monkeypatch):
+        # the same number of steps on every coherent input, whatever its
+        # entries, and max_iter above that length changes nothing
+        steps = []
+        monkeypatch.setattr(
+            coherence, "_tangent_gradient", lambda v, a_t: steps.append(1) or _tangent_gradient(v, a_t)
+        )
         rng = np.random.default_rng(21)
+        counts = []
         for op in (
             mix_operations([0.7, 0.3], [hadamard_operation(), identity_operation(2)]),
             random_cptp(2, 3, rng),
             mix_operations([0.55, 0.45], [random_unitary(2, rng), random_unitary(2, rng)]),
+            random_cptp(2, 4, rng),
         ):
+            steps.clear()
             capped, free = (mf_convex_roof(op, restarts=6, max_iter=n, seed=22) for n in (2000, 20000))
             assert capped.value == free.value
             assert capped.history == free.history
+            counts.append(len(steps))
+            steps.clear()
+            mf_convex_roof(op, restarts=6, max_iter=7, seed=22)
+            assert len(steps) == 7
+        assert len(set(counts)) == 1
 
 
 class TestDispatch:
