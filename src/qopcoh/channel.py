@@ -242,19 +242,16 @@ class QuantumOperation:
 
 
 def choi_from_operation(op: QuantumOperation) -> ChoiState:
-    """Choi state of an operation given in unitary or Kraus form."""
+    """Choi state of an operation given in unitary or Kraus form, as C = V^T conj(V).
+
+    Row n of V is (I (x) K_n)|phi> = K_n^T flattened / sqrt d (entry i*d + a is K_n[a, i]).
+    """
     if op.kind == "choi":
         return op.choi
     d = op.dim
-    phi = max_entangled_state(d)
-    projector = np.outer(phi, phi.conj())
-    c = np.zeros((d * d, d * d), dtype=complex)
-    eye = np.eye(d)
-    for k in op.kraus_operators:
-        lifted = kron(eye, k)
-        c += lifted @ projector @ dagger(lifted)
+    v = np.stack(op.kraus_operators).transpose(0, 2, 1).reshape(-1, d * d) / np.sqrt(d)
     try:
-        return ChoiState(c, d)
+        return ChoiState(v.T @ v.conj(), d)
     except InvalidChoiError as exc:
         raise InvalidKrausError(f"Kraus set does not define a trace-one Choi state: {exc}") from exc
 

@@ -10,11 +10,13 @@ A superoperation can be built three ways:
 
 A sandwich induces the Choi-space Kraus set {pre_m^T (x) post_p}, so every
 form reduces to the canonical matrix representation, and all membership
-tests below are exact linear-algebra identities on those matrices.
+tests below are exact linear-algebra identities on those matrices.  Each
+is built from the (n, d^2, d^2) Kraus stack in one contraction.
 
 The phase-out superoperation deletes the off-diagonal Choi entries; its
 sandwich form (dephase outputs, dephase inputs) and its Kraus form
 {|ia><ia|} produce the same matrix, which the test suite asserts.
+``phase_out(d)`` is built once per d, and its arrays are read-only.
 
 Membership tests, with T the phase-out matrix and M the superoperation
 matrix:
@@ -25,7 +27,7 @@ matrix:
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -47,7 +49,7 @@ from .exceptions import (
     NoKrausFormError,
     WeightError,
 )
-from .linalg import dagger, devectorize, kron, max_abs, require_finite, require_weights, vectorize
+from .linalg import dagger, devectorize, max_abs, require_finite, require_weights, vectorize
 from .tolerances import admission_atol
 
 
@@ -77,7 +79,9 @@ class Superoperation:
         d = int(round(np.sqrt(n)))
         if d * d != n or any(k.shape != (n, n) for k in ks):
             raise DimensionMismatchError("Choi-space Kraus operators must be d^2 x d^2")
-        return cls(d, "kraus_on_choi", choi_kraus=tuple(ks))
+        stack = np.stack(ks)
+        stack.setflags(write=False)
+        return cls(d, "kraus_on_choi", choi_kraus=stack)
 
     @classmethod
     def from_matrix(cls, matrix, d: int) -> "Superoperation":
@@ -88,27 +92,33 @@ class Superoperation:
         return cls(d, "matrix", matrix=m)
 
     @cached_property
-    def choi_kraus(self) -> tuple | None:
-        """Choi-space Kraus operators, when the form provides them."""
-        if self._choi_kraus is not None:
+    def choi_kraus(self) -> np.ndarray | None:
+        """Read-only (n, d^2, d^2) stack of Choi-space Kraus operators, when the form has them.
+
+        A sandwich's {pre_q^T (x) post_p}, post-major, is one broadcast product,
+        bit-equal to the Kronecker products (each entry is one product b*a).
+        """
+        if self._choi_kraus is not None or self.form != "sandwich":
             return self._choi_kraus
-        if self.form == "sandwich":
-            return tuple(
-                kron(b.T, a)
-                for a in self.post.kraus_operators
-                for b in self.pre.kraus_operators
-            )
-        return None
+        a = np.stack(self.post.kraus_operators)
+        bt = np.stack(self.pre.kraus_operators).transpose(0, 2, 1)
+        dd = self.d * self.d
+        stack = (bt[None, :, :, None, :, None] * a[:, None, None, :, None, :]).reshape(-1, dd, dd)
+        stack.setflags(write=False)
+        return stack
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """Canonical d^4 x d^4 matrix, acting on column-stacked Choi matrices."""
+        """Canonical, read-only d^4 x d^4 matrix, acting on column-stacked Choi matrices.
+
+        sum_n conj(K_n) (x) K_n in one product: G = conj(K)^T K over the flattened
+        stack holds G[(r,c),(s,t)], reordered to the Kronecker layout [(r,s),(c,t)].
+        """
         if self._matrix is not None:
             return self._matrix
         dd = self.d * self.d
-        m = np.zeros((dd * dd, dd * dd), dtype=complex)
-        for k in self.choi_kraus:
-            m += kron(k.conj(), k)
+        ks = self.choi_kraus.reshape(-1, dd * dd)
+        m = (ks.conj().T @ ks).reshape(dd, dd, dd, dd).transpose(0, 2, 1, 3).reshape(dd * dd, dd * dd)
         m.setflags(write=False)
         return m
 
@@ -119,7 +129,7 @@ class Superoperation:
 def probe_matrix(s: Superoperation) -> np.ndarray:
     """Rebuild the matrix by probing with all matrix units of the Choi space.
 
-    Independent of the kron-based construction; used to assert that every
+    Independent of the batched contraction; used to assert that every
     constructor form and its cached matrix agree.
     """
     dd = s.d * s.d
@@ -140,11 +150,14 @@ def identity_superoperation(d: int) -> Superoperation:
     return Superoperation.from_kraus_on_choi([np.eye(d * d, dtype=complex)])
 
 
+@cache
 def phase_out(d: int) -> Superoperation:
     """The superoperation that strips all off-diagonal Choi entries.
 
     Kraus form {|ia><ia|}; identical, as a matrix, to the sandwich of
-    completely dephasing channels on the output and input sides.
+    completely dephasing channels on the output and input sides.  Its matrix
+    is the exact 0/1 diagonal mask (all products are of 0s and 1s).  Built
+    once per d: every call returns the same read-only object.
     """
     if d < 2:
         raise DimensionMismatchError("phase_out requires d >= 2")
@@ -176,18 +189,13 @@ def kraus_outcomes(s: Superoperation, op: QuantumOperation) -> list:
         raise NoKrausFormError("superoperation has no operator-sum form")
     if op.dim != s.d:
         raise DimensionMismatchError(f"superoperation dim {s.d} vs operation dim {op.dim}")
-    c = op.choi.matrix
-    outcomes = []
-    total = 0.0
-    for k in s.choi_kraus:
-        branch = k @ c @ dagger(k)
-        p = float(np.trace(branch).real)
-        total += p
-        if p > 1e-12:
-            outcomes.append((p, QuantumOperation.from_choi(ChoiState(branch / p, s.d))))
+    branches = s.choi_kraus @ op.choi.matrix @ dagger(s.choi_kraus)
+    weights = np.trace(branches, axis1=1, axis2=2).real
+    total = float(weights.sum())
     if not total <= 1.0 + admission_atol():
         raise InvalidKrausError(f"outcome weights sum to {total:.9f} > 1")
-    return outcomes
+    kept = [(float(p), b / p) for p, b in zip(weights, branches) if p > 1e-12]
+    return [(p, QuantumOperation.from_choi(ChoiState(b, s.d))) for p, b in kept]
 
 
 def compose(s1: Superoperation, s2: Superoperation) -> Superoperation:

@@ -42,7 +42,25 @@ IDENTITY_CHOI = np.array(
 DEPHASING_CHOI = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
 
 
+def kron_reference_choi(kraus, d):
+    """sum_n (I (x) K_n)|phi><phi|(I (x) K_n)+, one numpy.kron per Kraus operator."""
+    phi = np.eye(d).reshape(-1) / np.sqrt(d)
+    c = np.zeros((d * d, d * d), dtype=complex)
+    for k in kraus:
+        v = np.kron(np.eye(d), k) @ phi
+        c += np.outer(v, v.conj())
+    return c
+
+
 class TestChoiFromOperation:
+    def test_matches_kron_reference(self):
+        rng = np.random.default_rng(36)
+        for d in (2, 3, 4):
+            ops = [random_cptp(d, count, rng) for count in (1, 2, d * d)] + [random_unitary(d, rng)]
+            for op in ops:
+                c = choi_from_operation(op).matrix
+                assert max_abs(c - kron_reference_choi(op.kraus_operators, d)) <= 1e-14
+
     def test_identity_channel(self):
         c = identity_operation(2).choi
         assert max_abs(c.matrix - IDENTITY_CHOI) <= 1e-12

@@ -23,6 +23,7 @@ from qopcoh.exceptions import (
     WeightError,
 )
 from qopcoh.linalg import kron, max_abs
+from qopcoh.suites import run_suite
 from qopcoh.superop import (
     CLASS_NAMES,
     ClassificationReport,
@@ -98,6 +99,79 @@ class TestMatrixRepresentation:
         matrix_form = Superoperation.from_matrix(sandwich.matrix, 2)
         for s in (sandwich, kraus, matrix_form):
             assert max_abs(probe_matrix(s) - s.matrix) <= 1e-12
+
+
+def kron_reference_matrix(choi_kraus):
+    """sum_n conj(K_n) (x) K_n, one numpy.kron per Choi-space Kraus operator."""
+    return sum(np.kron(k.conj(), k) for k in choi_kraus)
+
+
+class TestBatchedBuilds:
+    def test_sandwich_kraus_stack_is_bit_equal_to_kron(self):
+        rng = np.random.default_rng(37)
+        for d in (2, 3):
+            for p in (1, 2, 3):
+                for q in (1, 2, 3):
+                    post, pre = random_cptp(d, p, rng), random_cptp(d, q, rng)
+                    s = Superoperation.from_sandwich(post, pre)
+                    expected = [np.kron(b.T, a) for a in post.kraus_operators for b in pre.kraus_operators]
+                    assert len(s.choi_kraus) == p * q
+                    for k, e in zip(s.choi_kraus, expected):
+                        assert np.array_equal(k, e)
+
+    def test_matrix_matches_kron_reference_and_probe(self):
+        rng = np.random.default_rng(38)
+        for d in (2, 3):
+            dd = d * d
+            ks = [(rng.standard_normal((dd, dd)) + 1j * rng.standard_normal((dd, dd))) / dd for _ in range(3)]
+            for s in (random_sandwich(d, rng), Superoperation.from_kraus_on_choi(ks)):
+                assert max_abs(s.matrix - kron_reference_matrix(s.choi_kraus)) <= 1e-14
+                assert max_abs(s.matrix - probe_matrix(s)) <= 1e-14
+
+    def test_phase_out_matrix_is_exact_mask(self):
+        for d in (2, 3):
+            mask = np.zeros(d**4)
+            mask[:: d * d + 1] = 1.0
+            assert np.array_equal(phase_out(d).matrix, np.diag(mask))
+
+    def test_phase_out_is_shared_and_read_only(self):
+        for d in (2, 3):
+            t = phase_out(d)
+            assert t is phase_out(d)
+            with pytest.raises(ValueError):
+                t.matrix[1, 1] = 1.0
+            for k in t.choi_kraus:
+                with pytest.raises(ValueError):
+                    k[0, 1] = 1.0
+            assert max_abs(t.matrix - kron_reference_matrix(t.choi_kraus)) == 0
+
+    def test_kraus_on_choi_does_not_alias_its_input(self):
+        k = np.eye(4)
+        s = Superoperation.from_kraus_on_choi([k])
+        m = s.matrix
+        k[0, 1] = 5.0
+        assert np.array_equal(s.choi_kraus[0], np.eye(4))
+        assert max_abs(probe_matrix(s) - m) == 0
+        with pytest.raises(ValueError):
+            s.choi_kraus[0][0, 1] = 5.0
+        sandwich = random_sandwich(2, np.random.default_rng(39))
+        with pytest.raises(ValueError):
+            sandwich.choi_kraus[0][0, 0] = 0.0
+
+    def test_suites_call_no_kron(self, monkeypatch):
+        calls = []
+        np_kron = np.kron
+
+        def counting_kron(a, b):
+            calls.append((np.shape(a), np.shape(b)))
+            return np_kron(a, b)
+
+        monkeypatch.setattr(np, "kron", counting_kron)
+        for name, samples in (("theorem21", 1), ("theorem12", 4)):
+            assert all(check["pass"] for check in run_suite(name, samples, 0))
+        assert calls == []
+        kron(np.eye(2), np.eye(2))  # the counter sees the package's own helper
+        assert len(calls) == 1
 
 
 class TestApply:
