@@ -26,9 +26,12 @@ Each step takes the Euclidean gradient G of the ensemble value, projects
 it onto the tangent space of the isometries, G - V herm(V^dagger G), and
 retracts the moved V to the nearest isometry by its polar factor.  A lane
 keeps a step only if it lowers the value, and then lengthens its next
-step by 1.3; a rejected step halves it.  The descent takes a fixed number
-of steps, and stops early only once a lane reaches zero, the least value
-possible.  The result is an upper bound on the roof.
+step by 1.3; a rejected step halves it.  The lanes carry their ensemble
+rows psi = V A^T, taken over from the scored trial when a step is kept,
+and a step after one that no lane kept reuses the last direction, since
+neither V nor psi has changed.  The descent takes a fixed number of steps,
+and stops early only once a lane reaches zero, the least value possible.
+The result is an upper bound on the roof.
 """
 
 import math
@@ -52,7 +55,7 @@ from .exceptions import (
     NotPureChoiError,
     UnsupportedDimError,
 )
-from .linalg import dagger, max_abs, psd_root, require_density, require_unitary, require_weights
+from .linalg import max_abs, psd_root, require_density, require_unitary, require_weights
 from .superop import Superoperation, apply as apply_superop, kraus_outcomes
 from .tolerances import admission_atol
 
@@ -260,34 +263,33 @@ def _random_isometries(count: int, m: int, r: int, rng: np.random.Generator) -> 
 
 def _polar(v: np.ndarray) -> np.ndarray:
     # The isometry nearest to each m x r matrix, v (v^dagger v)^(-1/2).
-    s = dagger(v) @ v
-    w, u = np.linalg.eigh((s + dagger(s)) / 2)
-    inv_root = (u / np.sqrt(np.clip(w, 1e-300, None))[..., None, :]) @ dagger(u)
+    s = v.conj().swapaxes(-1, -2) @ v
+    w, u = np.linalg.eigh((s + s.conj().swapaxes(-1, -2)) / 2)
+    inv_root = (u / np.sqrt(np.maximum(w, 1e-300))[..., None, :]) @ u.conj().swapaxes(-1, -2)
     return v @ inv_root
 
 
-def _tangent_gradient(v: np.ndarray, a_t: np.ndarray) -> np.ndarray:
+def _tangent_gradient(v: np.ndarray, psi: np.ndarray, a_h: np.ndarray) -> np.ndarray:
     """Gradient of sum_n f_n at the isometries v, projected onto their tangent space.
 
     f_n = sqrt(p_n (p_n - q_n)) with psi = v a_t, p_n = |psi_n|^2 and
     q_n = |psi_nk*|^2 at the row's largest entry k*.  Holding k* fixed, the
     Wirtinger derivative of f_n with respect to conj(psi_n) is
     Z = ((2 p_n - q_n) psi_n - p_n psi_nk* e_k*) / (2 f_n), and 0 on rows
-    with f_n = 0.  Z pulls back to G = Z a_t^dagger, and the returned
-    projection xi = G - v herm(v^dagger G) keeps the part tangent to the
-    isometries: along a tangent Y the value moves by 2 Re tr(xi^dagger Y)
-    to first order.
+    with f_n = 0.  Z pulls back to G = Z a_h with a_h = a_t^dagger, and the
+    returned projection xi = G - v herm(v^dagger G) keeps the part tangent
+    to the isometries: along a tangent Y the value moves by
+    2 Re tr(xi^dagger Y) to first order.
     """
-    psi = v @ a_t
     mod2 = np.abs(psi) ** 2
     p = mod2.sum(axis=-1, keepdims=True)
     q = mod2.max(axis=-1, keepdims=True)
     top = np.arange(mod2.shape[-1]) == mod2.argmax(axis=-1)[..., None]
     f = np.sqrt(p * (p - q))
     z = psi * ((2.0 * p - q - p * top) / np.where(f > 0, 2.0 * f, np.inf))
-    g = z @ dagger(a_t)
-    vg = dagger(v) @ g
-    return g - v @ ((vg + dagger(vg)) / 2)
+    g = z @ a_h
+    vg = v.conj().swapaxes(-1, -2) @ g
+    return g - v @ ((vg + vg.conj().swapaxes(-1, -2)) / 2)
 
 
 def mf_convex_roof(
@@ -312,10 +314,13 @@ def mf_convex_roof(
     lane's tangent space (``_tangent_gradient``), moves against it by the
     lane's step size and retracts to the nearest isometry by the polar
     factor.  A lane keeps the step only when it lowers the lane's value;
-    its step size then grows by 1.3, and otherwise halves.  The descent
-    takes 100 steps, or ``max_iter`` if that is fewer, so its cost depends
-    only on the shape of the input; it ends sooner only when a lane
-    reaches zero, which no ensemble can beat.
+    its step size then grows by 1.3, and otherwise halves.  The lanes'
+    rows psi = V a_t are carried: a kept step copies them from the scored
+    trial, and a step after one that no lane kept reuses the direction,
+    because V and psi, and so the direction, are bit for bit the same.
+    The descent takes 100 steps, or ``max_iter`` if that is fewer, so its
+    cost depends only on the shape of the input; it ends sooner only when
+    a lane reaches zero, which no ensemble can beat.
 
     The returned history is the running minimum of the lanes' values in
     lane order, so it has ``restarts`` entries and is nonincreasing; the
@@ -332,25 +337,35 @@ def mf_convex_roof(
     if not r <= m <= r * r:
         raise ValueError(f"ensemble_size must lie in [{r}, {r * r}], got {m}")
     a_t = (vecs * np.sqrt(lam)).T  # rows: sqrt(lam_i) e_i
+    a_h = a_t.conj().swapaxes(-1, -2)
     rng = rng_from(seed)
 
     v = np.empty((restarts, m, r), dtype=complex)
     v[0] = np.eye(m, r)  # warm start from the eigendecomposition ensemble itself
     v[1:] = _random_isometries(restarts - 1, m, r, rng)
-    values = _row_terms(v @ a_t).sum(axis=1)
+    psi = v @ a_t
+    values = _row_terms(psi).sum(axis=1)
     step = np.full(restarts, 0.5)
+    moved = True
     for _ in range(min(max_iter, _STEPS)):
-        if values.min() <= _ZERO:
-            break
-        trial = _polar(v - step[:, None, None] * _tangent_gradient(v, a_t))
-        trial_values = _row_terms(trial @ a_t).sum(axis=1)
+        if moved:  # v, psi and values change only when a lane accepts
+            if values.min() <= _ZERO:
+                break
+            xi = _tangent_gradient(v, psi, a_h)
+        trial = _polar(v - step[:, None, None] * xi)
+        trial_psi = trial @ a_t
+        mod2 = np.abs(trial_psi) ** 2  # _row_terms, inline
+        p = mod2.sum(axis=-1)
+        trial_values = np.sqrt(p * (p - mod2.max(axis=-1))).sum(axis=1)
         accept = trial_values < values
-        step = np.where(accept, 1.3 * step, 0.5 * step)
-        v[accept] = trial[accept]
-        values[accept] = trial_values[accept]
+        step *= np.where(accept, 1.3, 0.5)
+        if moved := accept.any():
+            np.copyto(v, trial, where=accept[:, None, None])
+            np.copyto(psi, trial_psi, where=accept[:, None, None])
+            np.copyto(values, trial_values, where=accept)
 
     history = tuple(float(h) for h in np.minimum.accumulate(values))
-    psi = v[np.argmin(values)] @ a_t
+    psi = psi[np.argmin(values)]
     p = (np.abs(psi) ** 2).sum(axis=1)
     kept = p > 1e-12
     members = tuple(

@@ -16,7 +16,7 @@ is built from the (n, d^2, d^2) Kraus stack in one contraction.
 The phase-out superoperation deletes the off-diagonal Choi entries; its
 sandwich form (dephase outputs, dephase inputs) and its Kraus form
 {|ia><ia|} produce the same matrix, which the test suite asserts.
-``phase_out(d)`` is built once per d, and its arrays are read-only.
+``phase_out(d)`` is built once per d, and it and its arrays are read-only.
 
 Membership tests, with T the phase-out matrix and M the superoperation
 matrix:
@@ -54,15 +54,13 @@ from .tolerances import admission_atol
 
 
 class Superoperation:
-    """A linear map on Choi matrices with a canonical matrix form."""
+    """A linear map on Choi matrices with a canonical matrix form, read-only once built."""
 
     def __init__(self, d: int, form: str, *, post=None, pre=None, choi_kraus=None, matrix=None):
-        self.d = d
-        self.form = form
-        self.post = post
-        self.pre = pre
-        self._choi_kraus = choi_kraus
-        self._matrix = matrix
+        vars(self).update(d=d, form=form, post=post, pre=pre, _choi_kraus=choi_kraus, _matrix=matrix)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Superoperation.{name} is read-only")
 
     @classmethod
     def from_sandwich(cls, post: QuantumOperation, pre: QuantumOperation) -> "Superoperation":

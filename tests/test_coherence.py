@@ -23,6 +23,7 @@ from qopcoh.channel import (
     random_density_matrix,
     random_incoherent_cptp,
     random_unitary,
+    rng_from,
 )
 from qopcoh.coherence import (
     SQRT2_OVER_2,
@@ -39,7 +40,7 @@ from qopcoh.coherence import (
     unitary_from_euler,
     verify_axioms,
 )
-from qopcoh.coherence import _random_isometries, _row_terms, _tangent_gradient
+from qopcoh.coherence import _polar, _random_isometries, _row_terms, _tangent_gradient
 from qopcoh.exceptions import (
     MethodInapplicableError,
     NotDensityMatrixError,
@@ -329,7 +330,7 @@ class TestConvexRoof:
             def value(w):
                 return float(_row_terms(w @ a_t).sum())
 
-            xi = _tangent_gradient(v, a_t)
+            xi = _tangent_gradient(v, v @ a_t, dagger(a_t))
             vxi = dagger(v) @ xi
             assert max_abs(vxi + dagger(vxi)) <= 1e-12
             numeric = (value(v + h * y) - value(v - h * y)) / (2 * h)
@@ -351,9 +352,7 @@ class TestConvexRoof:
         # the same number of steps on every coherent input, whatever its
         # entries, and max_iter above that length changes nothing
         steps = []
-        monkeypatch.setattr(
-            coherence, "_tangent_gradient", lambda v, a_t: steps.append(1) or _tangent_gradient(v, a_t)
-        )
+        monkeypatch.setattr(coherence, "_polar", lambda v: steps.append(1) or _polar(v))
         rng = np.random.default_rng(21)
         counts = []
         for op in (
@@ -371,6 +370,95 @@ class TestConvexRoof:
             mf_convex_roof(op, restarts=6, max_iter=7, seed=22)
             assert len(steps) == 7
         assert len(set(counts)) == 1
+
+
+def _reference_gradient(v, a_t):
+    # the direction with psi = v a_t taken afresh, and dagger for each adjoint
+    psi = v @ a_t
+    mod2 = np.abs(psi) ** 2
+    p = mod2.sum(axis=-1, keepdims=True)
+    q = mod2.max(axis=-1, keepdims=True)
+    top = np.arange(mod2.shape[-1]) == mod2.argmax(axis=-1)[..., None]
+    f = np.sqrt(p * (p - q))
+    z = psi * ((2.0 * p - q - p * top) / np.where(f > 0, 2.0 * f, np.inf))
+    g = z @ dagger(a_t)
+    vg = dagger(v) @ g
+    return g - v @ ((vg + dagger(vg)) / 2)
+
+
+def _reference_roof(op, restarts, max_iter, seed):
+    """Reference descent that takes psi = v a_t and the direction afresh on every step.
+
+    Returns (value, history, weights, steps taken, steps in which some lane accepted).
+    """
+    lam, vecs = op.choi.support()
+    r = lam.size
+    m = r * r
+    a_t = (vecs * np.sqrt(lam)).T
+    rng = rng_from(seed)
+    v = np.empty((restarts, m, r), dtype=complex)
+    v[0] = np.eye(m, r)
+    v[1:] = _random_isometries(restarts - 1, m, r, rng)
+    values = _row_terms(v @ a_t).sum(axis=1)
+    step = np.full(restarts, 0.5)
+    steps = accepting = 0
+    for _ in range(min(max_iter, coherence._STEPS)):
+        if values.min() <= coherence._ZERO:
+            break
+        trial = _polar(v - step[:, None, None] * _reference_gradient(v, a_t))
+        trial_values = _row_terms(trial @ a_t).sum(axis=1)
+        accept = trial_values < values
+        step = np.where(accept, 1.3 * step, 0.5 * step)
+        v[accept] = trial[accept]
+        values[accept] = trial_values[accept]
+        steps += 1
+        accepting += bool(accept.any())
+    history = tuple(float(h) for h in np.minimum.accumulate(values))
+    psi = v[np.argmin(values)] @ a_t
+    p = (np.abs(psi) ** 2).sum(axis=1)
+    kept = p > 1e-12
+    return float(_row_terms(psi[kept]).sum()), history, p[kept], steps, accepting
+
+
+def _descent_inputs():
+    rng = np.random.default_rng(23)
+    yield mix_operations([0.7, 0.3], [hadamard_operation(), identity_operation(2)])
+    for env in (2, 3, 4):
+        yield random_cptp(2, env, rng)
+    yield mix_operations([0.4, 0.6], [random_incoherent_cptp(2, rng), random_incoherent_cptp(2, rng)])
+    yield random_cptp(3, 2, rng)
+
+
+class TestCarriedDescent:
+    def test_bit_identical_to_the_reference_loop(self):
+        for n, op in enumerate(_descent_inputs()):
+            for restarts in (1, 3, 6, 16):
+                for max_iter in (0, 1, 7, 600):
+                    seed = 100 * n + restarts
+                    res = mf_convex_roof(op, restarts=restarts, max_iter=max_iter, seed=seed)
+                    value, history, weights, _, _ = _reference_roof(op, restarts, max_iter, seed)
+                    assert res.value == value
+                    assert res.history == history
+                    assert res.ensemble.weights.shape == weights.shape
+                    assert (res.ensemble.weights == weights).all()
+
+    def test_direction_is_kept_through_rejected_steps(self, monkeypatch):
+        # a step after one in which no lane accepted reuses the direction
+        evaluations, steps = [], []
+        monkeypatch.setattr(
+            coherence, "_tangent_gradient", lambda *args: evaluations.append(1) or _tangent_gradient(*args)
+        )
+        monkeypatch.setattr(coherence, "_polar", lambda v: steps.append(1) or _polar(v))
+        for n, op in enumerate(_descent_inputs()):
+            evaluations.clear()
+            steps.clear()
+            seed = 22 if n == 0 else n
+            mf_convex_roof(op, restarts=6, max_iter=600, seed=seed)
+            _, _, _, reference_steps, accepting = _reference_roof(op, 6, 600, seed)
+            assert len(steps) == reference_steps
+            assert len(evaluations) <= 1 + accepting
+            if n == 0:  # 0.7 H + 0.3 I
+                assert len(evaluations) < len(steps)
 
 
 class TestDispatch:

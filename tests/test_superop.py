@@ -145,6 +145,16 @@ class TestBatchedBuilds:
                     k[0, 1] = 1.0
             assert max_abs(t.matrix - kron_reference_matrix(t.choi_kraus)) == 0
 
+    def test_phase_out_attributes_cannot_be_rebound(self):
+        # a rebound d on the shared object would break every later apply
+        t = phase_out(2)
+        for name, value in (("d", 3), ("form", "matrix"), ("post", None), ("pre", None)):
+            with pytest.raises(AttributeError):
+                setattr(t, name, value)
+        assert t.d == 2 and t.form == "kraus_on_choi"
+        c = identity_operation(2).choi.matrix
+        assert np.array_equal(apply(phase_out(2), identity_operation(2)).choi.matrix, np.diag(np.diag(c)))
+
     def test_kraus_on_choi_does_not_alias_its_input(self):
         k = np.eye(4)
         s = Superoperation.from_kraus_on_choi([k])
