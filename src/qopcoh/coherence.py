@@ -85,10 +85,10 @@ def fidelity_from_roots(root_rho: np.ndarray, root_sigma: np.ndarray) -> float:
 
 
 def operation_fidelity(a: QuantumOperation, b: QuantumOperation) -> float:
-    """Fidelity of two operations = Uhlmann fidelity of their Choi states."""
+    """Fidelity of two operations = Uhlmann fidelity of their Choi states, from their held roots."""
     if a.dim != b.dim:
         raise DimensionMismatchError(f"operation dims differ: {a.dim} vs {b.dim}")
-    return uhlmann_fidelity(a.choi.matrix, b.choi.matrix)
+    return fidelity_from_roots(a.choi.root, b.choi.root)
 
 
 @dataclass(frozen=True)
@@ -354,9 +354,7 @@ def mf_convex_roof(
             xi = _tangent_gradient(v, psi, a_h)
         trial = _polar(v - step[:, None, None] * xi)
         trial_psi = trial @ a_t
-        mod2 = np.abs(trial_psi) ** 2  # _row_terms, inline
-        p = mod2.sum(axis=-1)
-        trial_values = np.sqrt(p * (p - mod2.max(axis=-1))).sum(axis=1)
+        trial_values = _row_terms(trial_psi).sum(axis=1)
         accept = trial_values < values
         step *= np.where(accept, 1.3, 0.5)
         if moved := accept.any():

@@ -153,7 +153,6 @@ def report_document(
     witness=None,
     checks: list | None = None,
     seed: int | None = None,
-    wall_time_ms: float | None = None,
 ) -> dict:
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -167,8 +166,6 @@ def report_document(
     }
     if checks is not None:
         doc["checks"] = checks
-    if wall_time_ms is not None:
-        doc["wall_time_ms"] = wall_time_ms
     return doc
 
 
@@ -182,10 +179,13 @@ def load_document(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def save_document(path: str, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_document(doc))
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(dumps_document(doc))
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc

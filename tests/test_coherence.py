@@ -114,6 +114,14 @@ class TestOperationFidelity:
         f = operation_fidelity(identity_operation(2), dephasing_operation(2))
         assert abs(f - 0.5) <= 1e-10
 
+    def test_equals_the_fidelity_of_the_readmitted_choi_matrices(self):
+        # the roots held since admission give the same number, bit for bit
+        for seed in range(150):
+            d = 2 + seed % 2
+            a = random_cptp(d, 1 + seed % 3, seed) if seed % 4 else random_unitary(d, seed)
+            b = random_cptp(d, 2, 1000 + seed)
+            assert operation_fidelity(a, b) == uhlmann_fidelity(a.choi.matrix, b.choi.matrix)
+
 
 class TestMfPure:
     def test_identity(self):

@@ -282,13 +282,25 @@ class TestCliMeasure:
         assert witness == {"basis_input": 0, "basis_output": 0, "linear_index": 0}
 
     def test_byte_determinism(self, tmp_path):
+        # every report command: a second run prints the same bytes, and
+        # --timing adds one final wall_time_ms key to that report
         src = write_operation(tmp_path, "deph.json", dephasing_operation(2))
-        args = ["measure", src, "--method", "convex-roof", "--restarts", "4", "--seed", "77"]
-        first = self.runner.invoke(main, args)
-        second = self.runner.invoke(main, args)
-        assert first.output == second.output
-        timed = self.runner.invoke(main, args + ["--timing"])
-        assert "wall_time_ms" in json.loads(timed.output)
+        sop = write_doc(tmp_path, "theta.json", superoperation_to_document(phase_out(2)))
+        for args in (
+            ["measure", src, "--method", "convex-roof", "--restarts", "4", "--seed", "77"],
+            ["check", src, "--predicate", "incoherent"],
+            ["classify", sop],
+            ["verify", "--suite", "theorem11", "--samples", "1", "--seed", "1"],
+        ):
+            first = self.runner.invoke(main, args)
+            second = self.runner.invoke(main, args)
+            assert first.output == second.output
+            timed = self.runner.invoke(main, args + ["--timing"])
+            assert timed.exit_code == first.exit_code
+            doc = json.loads(timed.output)
+            assert list(doc)[-1] == "wall_time_ms"
+            assert doc.pop("wall_time_ms") >= 0.0
+            assert dumps_document(doc) == first.output
 
 
 class TestCliVerifyAndRandom:
@@ -361,6 +373,34 @@ class TestCliVerifyAndRandom:
         op = operation_from_document(load_document(out))
         assert op.kind == "unitary"
         assert op.dim == 3
+
+
+def _rejected_input(command, tmp_path):
+    """Arguments and environment for which the library rejects the command's input."""
+    not_an_object = tmp_path / "list.json"
+    not_an_object.write_text("[]")
+    deph = write_operation(tmp_path, "deph.json", dephasing_operation(2))
+    return {
+        "check": ([str(not_an_object), "--predicate", "cptp"], None),
+        "classify": ([write_operation(tmp_path, "id.json", identity_operation(2))], None),
+        "convert": ([deph, "--to", "unitary"], None),
+        "dephase": ([str(not_an_object)], None),
+        "measure": ([deph], None),  # the convex roof without a seed
+        "random": (["--kind", "unitary", "--d", "0", "--seed", "1"], None),
+        "verify": (["--suite", "theorem11", "--samples", "1", "--seed", "1"], {"QOPCOH_TOL": "abc"}),
+    }.get(command)
+
+
+@pytest.mark.parametrize("command", sorted(main.commands))
+def test_every_command_maps_library_errors_to_exit_2(tmp_path, command):
+    case = _rejected_input(command, tmp_path)
+    if case is None:
+        pytest.fail(f"no rejected input for the {command!r} command")
+    args, env = case
+    result = CliRunner().invoke(main, [command, *args], env=env)
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error: ")
+    assert result.stdout == ""
 
 
 class TestCliFailsClosed:
@@ -439,3 +479,21 @@ class TestCliFailsClosed:
         path = tmp_path / "nan.json"
         path.write_text(json.dumps(doc))
         self.assert_usage_error(["classify", str(path)])
+
+    @pytest.mark.parametrize(
+        "content",
+        ['{"kind": "caf\xe9"}'.encode("latin-1"), b"[" * 100_000 + b"]" * 100_000, b"1" * 5000],
+        ids=["non-utf8", "nested-too-deep", "integer-too-long"],
+    )
+    def test_undecodable_file(self, tmp_path, content):
+        path = tmp_path / "in.json"
+        path.write_bytes(content)
+        self.assert_usage_error(["check", str(path), "--predicate", "cptp"])
+
+    @pytest.mark.parametrize("where", ["missing-dir/x.json", "."], ids=["missing-dir", "directory"])
+    @pytest.mark.parametrize("command", ["dephase", "convert", "random"])
+    def test_unwritable_out_path(self, tmp_path, command, where):
+        src = write_operation(tmp_path, "id.json", identity_operation(2))
+        args = {"dephase": [src], "convert": [src, "--to", "choi"], "random": ["--kind", "unitary", "--seed", "1"]}
+        out = str(tmp_path / where)
+        self.assert_usage_error([command, *args[command], "--out", out], message=f"error: cannot write {out}")
