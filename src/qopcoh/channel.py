@@ -1,8 +1,10 @@
 """Quantum operations and their Choi states.
 
 An operation acting on a d-dimensional system is carried in one of three
-representations: a unitary matrix, a Kraus operator list, or its Choi
-state.  The Choi state of an operation with Kraus operators {K_n} is
+representations: a unitary matrix, a Kraus operator set, or its Choi
+state.  A unitary or a Kraus set is held as one read-only (n, d, d) stack
+of Kraus operators (n = 1 for a unitary), which every consumer reads in one
+batched product.  The Choi state of an operation with Kraus operators {K_n} is
 
     C = sum_n (I (x) K_n) |phi><phi| (I (x) K_n)+,
 
@@ -38,7 +40,7 @@ from .linalg import (
     partial_trace_out,
     psd_root,
     require_density,
-    require_finite,
+    require_kraus,
     require_square,
     require_unitary,
     require_weights,
@@ -79,7 +81,8 @@ class ChoiState:
             raise DimensionMismatchError(f"{n}x{n} matrix is not d^2 x d^2 for d={d}")
         self.d = d
         self.matrix, self._eig = require_density(m, InvalidChoiError, "Choi matrix")
-        self.matrix.setflags(write=False)
+        for a in (self.matrix, *self._eig):
+            a.setflags(write=False)
 
     @property
     def largest_eigenvalue(self) -> float:
@@ -95,8 +98,10 @@ class ChoiState:
 
     @cached_property
     def root(self) -> np.ndarray:
-        """Hermitian square root, from the spectrum held since admission."""
-        return psd_root(self._eig)
+        """Read-only Hermitian square root, from the spectrum held since admission."""
+        root = psd_root(self._eig)
+        root.setflags(write=False)
+        return root
 
     @property
     def pure_vector(self) -> np.ndarray:
@@ -168,32 +173,22 @@ class QuantumOperation:
     Kraus set is trace preserving is exposed as a property instead.
     """
 
-    def __init__(self, dim: int, kind: str, *, unitary=None, kraus=None, choi=None):
+    def __init__(self, dim: int, kind: str, *, kraus=None, choi=None):
         self.dim = dim
         self.kind = kind
-        self._unitary = unitary
         self._kraus = kraus
         self._choi = choi
 
     @classmethod
     def from_unitary(cls, u) -> "QuantumOperation":
-        m = require_unitary(u).copy()
-        m.setflags(write=False)
-        return cls(m.shape[0], "unitary", unitary=m)
+        stack = require_unitary(u)[None].copy()
+        stack.setflags(write=False)
+        return cls(stack.shape[1], "unitary", kraus=stack)
 
     @classmethod
     def from_kraus(cls, operators) -> "QuantumOperation":
-        ks = [require_finite(k, InvalidKrausError, "Kraus operator") for k in operators]
-        if not ks:
-            raise InvalidKrausError("empty Kraus list")
-        d = require_square(ks[0])
-        for k in ks:
-            if k.shape != (d, d):
-                raise DimensionMismatchError("Kraus operators must share one square shape")
-        ks = tuple(k.copy() for k in ks)
-        for k in ks:
-            k.setflags(write=False)
-        return cls(d, "kraus", kraus=ks)
+        stack = require_kraus(operators, InvalidKrausError, "Kraus")
+        return cls(stack.shape[1], "kraus", kraus=stack)
 
     @classmethod
     def from_choi(cls, choi, d: int | None = None) -> "QuantumOperation":
@@ -202,23 +197,19 @@ class QuantumOperation:
 
     @property
     def unitary(self) -> np.ndarray:
-        if self._unitary is None:
+        if self.kind != "unitary":
             raise NotUnitaryError(f"operation of kind {self.kind!r} carries no unitary matrix")
-        return self._unitary
+        return self._kraus[0]
 
     @cached_property
-    def kraus_operators(self) -> tuple:
-        """Kraus operators; derived by Choi eigendecomposition if needed."""
-        if self._kraus is not None:
-            return self._kraus
-        if self._unitary is not None:
-            return (self._unitary,)
-        return kraus_from_choi(self._choi)
+    def kraus_operators(self) -> np.ndarray:
+        """Read-only (n, d, d) Kraus stack; derived by Choi eigendecomposition for kind "choi"."""
+        return kraus_from_choi(self._choi) if self._kraus is None else self._kraus
 
     @property
     def completeness_residual(self) -> float:
-        s = sum(dagger(k) @ k for k in self.kraus_operators)
-        return max_abs(s - np.eye(self.dim))
+        ks = self.kraus_operators
+        return max_abs((dagger(ks) @ ks).sum(axis=0) - np.eye(self.dim))
 
     @property
     def is_trace_preserving(self) -> bool:
@@ -238,7 +229,8 @@ class QuantumOperation:
         if self.kind == "choi":
             return apply_via_choi(self._choi, r)
         require_density(r)
-        return sum(k @ r @ dagger(k) for k in self.kraus_operators)
+        ks = self.kraus_operators
+        return (ks @ r @ dagger(ks)).sum(axis=0)
 
 
 def choi_from_operation(op: QuantumOperation) -> ChoiState:
@@ -249,7 +241,7 @@ def choi_from_operation(op: QuantumOperation) -> ChoiState:
     if op.kind == "choi":
         return op.choi
     d = op.dim
-    v = np.stack(op.kraus_operators).transpose(0, 2, 1).reshape(-1, d * d) / np.sqrt(d)
+    v = op.kraus_operators.transpose(0, 2, 1).reshape(-1, d * d) / np.sqrt(d)
     try:
         return ChoiState(v.T @ v.conj(), d)
     except InvalidChoiError as exc:
@@ -279,15 +271,17 @@ def matrix_elements(op: QuantumOperation) -> np.ndarray:
     return d * c.reshape(d, d, d, d).transpose(0, 2, 1, 3)
 
 
-def kraus_from_choi(choi: ChoiState) -> tuple:
-    """Kraus operators from the Choi eigendecomposition.
+def kraus_from_choi(choi: ChoiState) -> np.ndarray:
+    """Read-only (n, d, d) stack of Kraus operators sqrt(d lam_n) unvec(e_n)^T from the Choi eigenpairs.
 
     Eigenvalues at or below ``RANK_CUTOFF`` are dropped; the retained
     operators reproduce the channel action up to that truncation.
     """
     d = choi.d
     w, v = choi.support()
-    return tuple(np.sqrt(d * lam) * vec.reshape(d, d).T for lam, vec in zip(w, v.T))
+    stack = np.sqrt(d * w)[:, None, None] * v.T.reshape(-1, d, d).transpose(0, 2, 1)
+    stack.setflags(write=False)
+    return stack
 
 
 def unitary_from_choi(choi: ChoiState) -> np.ndarray:
@@ -322,7 +316,7 @@ def hadamard_operation() -> QuantumOperation:
 def dephasing_operation(d: int) -> QuantumOperation:
     """Completely dephasing channel, Kraus {|i><i|}."""
     eye = np.eye(d, dtype=complex)
-    return QuantumOperation.from_kraus([np.outer(eye[i], eye[i]) for i in range(d)])
+    return QuantumOperation.from_kraus(eye[:, :, None] * eye[:, None, :])
 
 
 def mix_operations(weights, ops) -> QuantumOperation:
@@ -331,6 +325,8 @@ def mix_operations(weights, ops) -> QuantumOperation:
     if len(ops) != p.size:
         raise DimensionMismatchError("one weight per operation required")
     d = ops[0].dim
+    if any(op.dim != d for op in ops):
+        raise DimensionMismatchError("mixed operations must share one dimension")
     c = sum(w * op.choi.matrix for w, op in zip(p, ops))
     return QuantumOperation.from_choi(ChoiState(c, d))
 
@@ -359,10 +355,8 @@ def random_cptp(d: int, env_dim: int, seed) -> QuantumOperation:
     if d < 2 or env_dim < 1:
         raise DimensionMismatchError("random_cptp requires d >= 2 and env_dim >= 1")
     rng = rng_from(seed)
-    big = haar_unitary(d * env_dim, rng)
-    isometry = big[:, :d]
-    ks = [isometry[e * d : (e + 1) * d, :] for e in range(env_dim)]
-    return QuantumOperation.from_kraus(ks)
+    isometry = haar_unitary(d * env_dim, rng)[:, :d]
+    return QuantumOperation.from_kraus(isometry.reshape(env_dim, d, d))
 
 
 def random_incoherent_cptp(d: int, seed) -> QuantumOperation:
@@ -376,13 +370,9 @@ def random_incoherent_cptp(d: int, seed) -> QuantumOperation:
     rng = rng_from(seed)
     t = rng.uniform(0.05, 1.0, size=(d, d))
     t /= t.sum(axis=0, keepdims=True)
-    eye = np.eye(d, dtype=complex)
-    ks = [
-        np.sqrt(t[a, i]) * np.outer(eye[a], eye[i])
-        for i in range(d)
-        for a in range(d)
-    ]
-    return QuantumOperation.from_kraus(ks)
+    eye = np.eye(d)
+    ks = np.sqrt(t.T)[:, :, None, None] * eye[None, :, :, None] * eye[:, None, None, :]
+    return QuantumOperation.from_kraus(ks.reshape(d * d, d, d))
 
 
 def random_density_matrix(d: int, seed) -> np.ndarray:

@@ -86,9 +86,7 @@ def _convert(op, target: str):
     if target == "choi":
         return channel.QuantumOperation.from_choi(op.choi)
     if target == "kraus":
-        if op.kind == "unitary":
-            return channel.QuantumOperation.from_kraus([op.unitary])
-        return channel.QuantumOperation.from_kraus(channel.kraus_from_choi(op.choi))
+        return channel.QuantumOperation.from_kraus(op.kraus_operators)
     return channel.QuantumOperation.from_unitary(channel.unitary_from_choi(op.choi))
 
 

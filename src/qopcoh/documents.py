@@ -56,12 +56,10 @@ def _require_fields(doc: dict, fields, what: str) -> None:
 
 
 def operation_to_document(op: QuantumOperation, metadata: dict | None = None) -> dict:
-    if op.kind == "unitary":
-        matrices = [matrix_to_json(op.unitary)]
-    elif op.kind == "kraus":
-        matrices = [matrix_to_json(k) for k in op.kraus_operators]
-    else:
+    if op.kind == "choi":
         matrices = [matrix_to_json(op.choi.matrix)]
+    else:
+        matrices = [matrix_to_json(k) for k in op.kraus_operators]
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": op.kind,

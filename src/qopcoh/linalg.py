@@ -123,6 +123,22 @@ def require_unitary(a, error=NotUnitaryError, what: str = "matrix", dim: int | N
     return m
 
 
+def require_kraus(operators, error, what: str) -> np.ndarray:
+    """Admit a non-empty set of finite, equally shaped square matrices as one read-only (n, d, d) stack.
+
+    The stack is a copy, so later writes to ``operators`` cannot reach it.
+    """
+    ks = [require_finite(k, error, f"{what} operator") for k in operators]
+    if not ks:
+        raise error(f"empty {what} list")
+    d = require_square(ks[0])
+    if any(k.shape != (d, d) for k in ks):
+        raise DimensionMismatchError(f"{what} operators must share one square shape")
+    stack = np.stack(ks)
+    stack.setflags(write=False)
+    return stack
+
+
 def require_weights(weights, error=WeightError) -> np.ndarray:
     """Admit finite, nonnegative weights summing to one to the admission tolerance."""
     p = np.asarray(weights, dtype=float).reshape(-1)

@@ -49,7 +49,7 @@ from .exceptions import (
     NoKrausFormError,
     WeightError,
 )
-from .linalg import dagger, devectorize, max_abs, require_finite, require_weights, vectorize
+from .linalg import dagger, devectorize, max_abs, require_finite, require_kraus, require_weights, vectorize
 from .tolerances import admission_atol
 
 
@@ -70,15 +70,11 @@ class Superoperation:
 
     @classmethod
     def from_kraus_on_choi(cls, operators) -> "Superoperation":
-        ks = [require_finite(k, InvalidKrausError, "Choi-space Kraus operator") for k in operators]
-        if not ks:
-            raise InvalidKrausError("empty Choi-space Kraus list")
-        n = ks[0].shape[0]
+        stack = require_kraus(operators, InvalidKrausError, "Choi-space Kraus")
+        n = stack.shape[1]
         d = int(round(np.sqrt(n)))
-        if d * d != n or any(k.shape != (n, n) for k in ks):
+        if d * d != n:
             raise DimensionMismatchError("Choi-space Kraus operators must be d^2 x d^2")
-        stack = np.stack(ks)
-        stack.setflags(write=False)
         return cls(d, "kraus_on_choi", choi_kraus=stack)
 
     @classmethod
@@ -98,8 +94,8 @@ class Superoperation:
         """
         if self._choi_kraus is not None or self.form != "sandwich":
             return self._choi_kraus
-        a = np.stack(self.post.kraus_operators)
-        bt = np.stack(self.pre.kraus_operators).transpose(0, 2, 1)
+        a = self.post.kraus_operators
+        bt = self.pre.kraus_operators.transpose(0, 2, 1)
         dd = self.d * self.d
         stack = (bt[None, :, :, None, :, None] * a[:, None, None, :, None, :]).reshape(-1, dd, dd)
         stack.setflags(write=False)
@@ -119,9 +115,6 @@ class Superoperation:
         m = (ks.conj().T @ ks).reshape(dd, dd, dd, dd).transpose(0, 2, 1, 3).reshape(dd * dd, dd * dd)
         m.setflags(write=False)
         return m
-
-    def apply_to_choi_matrix(self, c: np.ndarray) -> np.ndarray:
-        return devectorize(self.matrix @ vectorize(c), self.d * self.d)
 
 
 def probe_matrix(s: Superoperation) -> np.ndarray:
@@ -173,7 +166,7 @@ def apply(s: Superoperation, op: QuantumOperation) -> QuantumOperation:
     """Transform an operation; no trace renormalization is applied."""
     if op.dim != s.d:
         raise DimensionMismatchError(f"superoperation dim {s.d} vs operation dim {op.dim}")
-    out = s.apply_to_choi_matrix(op.choi.matrix)
+    out = devectorize(s.matrix @ vectorize(op.choi.matrix), s.d * s.d)
     return QuantumOperation.from_choi(ChoiState(out, s.d))
 
 
@@ -214,8 +207,13 @@ def convex_combine(weights, sops) -> Superoperation:
     return Superoperation.from_matrix(m, d)
 
 
+CLASS_NAMES = ("miso", "miso_star", "diso")
+
+
 @dataclass(frozen=True)
 class ClassificationReport:
+    """Verdict and residual per class: in_{name} and {name}_residual for each name in CLASS_NAMES."""
+
     in_miso: bool
     in_miso_star: bool
     in_diso: bool
@@ -307,11 +305,10 @@ def check_cptp_preservation(op: QuantumOperation) -> CptpReport:
 # Class-member sampling and the closure harness
 # ---------------------------------------------------------------------------
 
-CLASS_NAMES = ("miso", "miso_star", "diso")
-
-
 def random_sandwich(d: int, rng) -> Superoperation:
     """Sandwich of two random CPTP channels with small random environments."""
+    if d < 2:
+        raise DimensionMismatchError(f"random superoperations require d >= 2, got d={d}")
     rng = rng_from(rng)
     post = random_cptp(d, int(rng.integers(1, 3)), rng)
     pre = random_cptp(d, int(rng.integers(1, 3)), rng)
@@ -323,14 +320,6 @@ def random_incoherent_sandwich(d: int, rng) -> Superoperation:
     return Superoperation.from_sandwich(
         random_incoherent_cptp(d, rng), random_incoherent_cptp(d, rng)
     )
-
-
-def _in_class(report: ClassificationReport, name: str) -> bool:
-    return {
-        "miso": report.in_miso,
-        "miso_star": report.in_miso_star,
-        "diso": report.in_diso,
-    }[name]
 
 
 def sample_class_member(name: str, d: int, rng, max_attempts: int = 64) -> Superoperation:
@@ -357,7 +346,7 @@ def sample_class_member(name: str, d: int, rng, max_attempts: int = 64) -> Super
             candidate = compose(base, theta)
         else:
             candidate = compose(theta, compose(base, theta))
-        if _in_class(classify(candidate), name):
+        if getattr(classify(candidate), f"in_{name}"):
             return candidate
     raise GeneratorExhaustedError(f"failed to sample a {name} member in {max_attempts} attempts")
 
@@ -408,16 +397,8 @@ def closure_harness(class_name: str, samples: int, seed, d: int = 2) -> ClosureR
             candidates.append((f"convex p={p}", convex_combine([p, 1.0 - p], [s1, s2])))
         for kind, candidate in candidates:
             verdict = classify(candidate)
-            in_class = _in_class(verdict, name)
-            report.max_residual = max(
-                report.max_residual,
-                {
-                    "miso": verdict.miso_residual,
-                    "miso_star": verdict.miso_star_residual,
-                    "diso": verdict.diso_residual,
-                }[name],
-            )
-            if not in_class:
+            report.max_residual = max(report.max_residual, getattr(verdict, f"{name}_residual"))
+            if not getattr(verdict, f"in_{name}"):
                 report.violations.append(ClosureViolation(name, i, kind, verdict))
             m = candidate.matrix
             if verdict.in_diso != (max_abs(m @ theta - theta @ m) <= admission_atol()):

@@ -34,7 +34,7 @@ from qopcoh.exceptions import (
     NotUnitaryError,
     WeightError,
 )
-from qopcoh.linalg import kron, max_abs
+from qopcoh.linalg import dagger, kron, max_abs
 
 IDENTITY_CHOI = np.array(
     [[0.5, 0, 0, 0.5], [0, 0, 0, 0], [0, 0, 0, 0], [0.5, 0, 0, 0.5]], dtype=complex
@@ -285,6 +285,8 @@ class TestRepresentations:
         for weights in ([0.4, 0.4], [-0.5, 1.5], [np.nan, 1.0], [np.inf, -np.inf]):
             with pytest.raises(WeightError):
                 mix_operations(weights, ops)
+        with pytest.raises(DimensionMismatchError):
+            mix_operations([0.5, 0.5], [identity_operation(2), identity_operation(3)])
 
     def test_trace_preserving_flag(self):
         assert identity_operation(2).is_trace_preserving
@@ -296,3 +298,85 @@ class TestRepresentations:
         expected = np.zeros((4, 4), dtype=complex)
         expected[np.ix_([1, 2], [1, 2])] = 0.5
         assert max_abs(c - expected) <= 1e-12
+
+
+def three_kinds(d, rng):
+    """A unitary, a Kraus and a Choi operation of dimension d."""
+    channel = random_cptp(d, int(rng.integers(1, 4)), rng)
+    return [random_unitary(d, rng), channel, QuantumOperation.from_choi(channel.choi.matrix)]
+
+
+class TestKrausStack:
+    def test_kraus_operators_is_a_read_only_stack(self):
+        rng = np.random.default_rng(50)
+        for d in (2, 3):
+            for op in three_kinds(d, rng):
+                ks = op.kraus_operators
+                assert isinstance(ks, np.ndarray)
+                assert ks.ndim == 3 and ks.shape[1:] == (d, d)
+                assert len(ks) == len(list(ks)) and np.array_equal(list(ks)[-1], ks[-1])
+                with pytest.raises(ValueError):
+                    ks[0][0, 0] = 1.0
+                assert op.kraus_operators is ks
+
+    def test_unitary_is_the_one_operator_of_its_stack(self):
+        u = random_unitary(3, 51)
+        assert u.kraus_operators.shape == (1, 3, 3)
+        assert np.array_equal(u.unitary, u.kraus_operators[0])
+        with pytest.raises(ValueError):
+            u.unitary[0, 0] = 0.0
+        for op in (dephasing_operation(2), QuantumOperation.from_choi(u.choi)):
+            with pytest.raises(NotUnitaryError):
+                op.unitary
+
+    def test_from_kraus_does_not_alias_its_input(self):
+        k = np.eye(2, dtype=complex)
+        op = QuantumOperation.from_kraus([k])
+        k[0, 1] = 5.0
+        assert np.array_equal(op.kraus_operators[0], np.eye(2))
+        assert max_abs(op.choi.matrix - IDENTITY_CHOI) <= 1e-15
+        stack = np.array([np.eye(2), np.diag([1.0, -1.0])], dtype=complex) / np.sqrt(2)
+        op = QuantumOperation.from_kraus(stack)
+        stack[1] = 0.0
+        assert op.is_trace_preserving
+        assert max_abs(op.choi.matrix - DEPHASING_CHOI) <= 1e-15
+
+    def test_admitted_arrays_are_read_only(self):
+        op = random_cptp(2, 2, 1)
+        c = QuantumOperation.from_choi(op.choi.matrix)
+        # the held spectrum and everything derived from it is shared by later calls
+        for held in (c.choi.root, c.choi.pure_vector, *c.choi._eig, c.kraus_operators[0], kraus_from_choi(c.choi)):
+            with pytest.raises(ValueError):
+                held[0, ...] += 0.5
+
+    def test_batched_consumers_equal_reference_loops(self):
+        for d in (2, 3, 4):
+            rng = np.random.default_rng(52 + d)
+            for _ in range(5):
+                rho = random_density_matrix(d, rng)
+                for op in three_kinds(d, rng) + [random_incoherent_cptp(d, rng), dephasing_operation(d)]:
+                    ks = list(op.kraus_operators)
+                    w, v = op.choi.support()
+                    derived = [np.sqrt(d * lam) * vec.reshape(d, d).T for lam, vec in zip(w, v.T)]
+                    assert np.array_equal(kraus_from_choi(op.choi), np.array(derived))
+                    residual = max_abs(sum(dagger(k) @ k for k in ks) - np.eye(d))
+                    assert op.completeness_residual == residual
+                    if op.kind == "choi":
+                        continue
+                    assert np.array_equal(op.apply(rho), sum(k @ rho @ dagger(k) for k in ks))
+                    rows = np.array([k.T.reshape(-1) for k in ks]) / np.sqrt(d)
+                    assert np.array_equal(op.choi.matrix, ChoiState(rows.T @ rows.conj(), d).matrix)
+
+    def test_generators_match_per_operator_construction(self):
+        for d in (2, 3):
+            eye = np.eye(d, dtype=complex)
+            deph = [np.outer(eye[i], eye[i]) for i in range(d)]
+            assert np.array_equal(dephasing_operation(d).kraus_operators, np.array(deph))
+            rng = np.random.default_rng(56)
+            big = random_unitary(3 * d, rng).unitary
+            op = random_cptp(d, 3, np.random.default_rng(56))
+            assert np.array_equal(op.kraus_operators, np.array([big[e * d : (e + 1) * d, :d] for e in range(3)]))
+            t = np.random.default_rng(57).uniform(0.05, 1.0, size=(d, d))
+            t /= t.sum(axis=0, keepdims=True)
+            inc = [np.sqrt(t[a, i]) * np.outer(eye[a], eye[i]) for i in range(d) for a in range(d)]
+            assert np.array_equal(random_incoherent_cptp(d, 57).kraus_operators, np.array(inc))

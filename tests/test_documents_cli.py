@@ -465,6 +465,14 @@ class TestCliFailsClosed:
         assert result.stderr.startswith("error: ")
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("d", ["1", "0"])
+    def test_random_superop_names_its_dimension(self, d):
+        result = self.runner.invoke(main, ["random", "--kind", "superop", "--d", d, "--seed", "1"])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: random superoperations require d >= 2, got d={d}\n"
+        assert "env_dim" not in result.stderr
+        assert result.stdout == ""
+
     def test_sandwich_declaring_another_d(self, tmp_path):
         out = str(tmp_path / "s.json")
         self.runner.invoke(main, ["random", "--kind", "superop", "--d", "2", "--seed", "4", "--out", out])

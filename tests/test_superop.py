@@ -11,11 +11,13 @@ from qopcoh.channel import (
     identity_operation,
     is_cptp,
     is_incoherent_operation,
+    kraus_from_choi,
     pauli_x_operation,
     random_cptp,
     random_incoherent_cptp,
 )
 from qopcoh.exceptions import (
+    DimensionMismatchError,
     InputNotCPTPError,
     InvalidKrausError,
     NoKrausFormError,
@@ -182,6 +184,26 @@ class TestBatchedBuilds:
         assert calls == []
         kron(np.eye(2), np.eye(2))  # the counter sees the package's own helper
         assert len(calls) == 1
+
+    def test_kraus_stacks_are_read_without_stacking(self, monkeypatch):
+        rng = np.random.default_rng(40)
+        post, pre = random_cptp(3, 2, rng), random_incoherent_cptp(3, rng)
+        ops = [identity_operation(3), post, QuantumOperation.from_choi(pre.choi.matrix)]
+        rho = np.eye(3) / 3
+        calls = []
+        np_stack = np.stack
+
+        def counting_stack(arrays, *args, **kwargs):
+            calls.append(len(arrays))
+            return np_stack(arrays, *args, **kwargs)
+
+        monkeypatch.setattr(np, "stack", counting_stack)
+        for op in ops:
+            op.choi, op.apply(rho), op.completeness_residual, kraus_from_choi(op.choi)
+        Superoperation.from_sandwich(post, ops[2]).matrix
+        assert calls == []
+        QuantumOperation.from_kraus([np.eye(2)])  # admission is where a Kraus set is stacked
+        assert calls == [1]
 
 
 class TestApply:
@@ -398,6 +420,16 @@ class TestSamplingAndClosure:
             rep = closure_harness(name, 15, seed=33)
             assert rep.ok, f"{name}: {rep.violations}"
             assert rep.intersection_consistent
+
+    def test_report_fields_follow_class_names(self):
+        # sampling and closure read in_{name} and {name}_residual off the report
+        fields = [f"in_{name}" for name in CLASS_NAMES] + [f"{name}_residual" for name in CLASS_NAMES]
+        assert list(vars(classify(phase_out(2)))) == fields
+
+    def test_random_sandwich_checks_its_dimension(self):
+        for d in (1, 0, -2):
+            with pytest.raises(DimensionMismatchError, match=f"d >= 2, got d={d}$"):
+                random_sandwich(d, 0)
 
     def test_intersection_check_can_fail(self, monkeypatch):
         # a classifier that puts everything in all three classes agrees with
