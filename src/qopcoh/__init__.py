@@ -9,11 +9,8 @@ from .channel import (
     hadamard_operation,
     identity_operation,
     is_cptp,
-    is_incoherent_kraus_operator,
     is_incoherent_operation,
     kraus_from_choi,
-    matrix_elements,
-    max_entangled_state,
     mix_operations,
     pauli_x_operation,
     pauli_z_operation,
@@ -25,9 +22,7 @@ from .channel import (
 )
 from .coherence import (
     Ensemble,
-    EulerParams,
     MeasureResult,
-    euler_params_from_unitary,
     max_coherent_operation,
     measure_coherence,
     mf_convex_roof,
@@ -35,14 +30,12 @@ from .coherence import (
     mf_single_qubit_unitary,
     operation_fidelity,
     uhlmann_fidelity,
-    unitary_from_euler,
     verify_axioms,
 )
 from .linalg import (
     HermitianEig,
     devectorize,
     eig_hermitian,
-    kron,
     max_abs,
     partial_trace_in,
     partial_trace_out,
@@ -59,7 +52,6 @@ from .superop import (
     closure_harness,
     compose,
     convex_combine,
-    identity_superoperation,
     kraus_outcomes,
     phase_out,
     phase_out_sandwich,

@@ -34,7 +34,6 @@ from .linalg import (
     HermitianEig,
     as_complex_matrix,
     dagger,
-    kron,
     max_abs,
     partial_trace_in,
     partial_trace_out,
@@ -60,13 +59,6 @@ def rng_from(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def max_entangled_state(d: int) -> np.ndarray:
-    """|phi> = (1/sqrt d) sum_i |ii> as a length-d^2 vector."""
-    v = np.zeros(d * d, dtype=complex)
-    v[np.arange(d) * d + np.arange(d)] = 1.0
-    return v / np.sqrt(d)
 
 
 class ChoiState:
@@ -112,10 +104,6 @@ class ChoiState:
     def output_marginal(self) -> np.ndarray:
         return partial_trace_out(self.matrix, self.d)
 
-    @property
-    def is_cptp(self) -> bool:
-        return is_cptp(self).ok
-
 
 @dataclass(frozen=True)
 class CptpReport:
@@ -151,16 +139,6 @@ def is_incoherent_operation(choi: ChoiState) -> IncoherenceReport:
     off = choi.matrix - np.diag(np.diag(choi.matrix))
     residual = max_abs(off)
     return IncoherenceReport(residual <= admission_atol(), residual)
-
-
-def is_incoherent_kraus_operator(k) -> bool:
-    """True when every column has at most one entry above the tolerance.
-
-    Such an operator maps each basis ket to a multiple of a basis ket and
-    therefore preserves diagonal (incoherent) states.
-    """
-    m = as_complex_matrix(k)
-    return bool(np.all((~(np.abs(m) <= admission_atol())).sum(axis=0) <= 1))
 
 
 class QuantumOperation:
@@ -260,15 +238,8 @@ def apply_via_choi(choi: ChoiState, rho) -> np.ndarray:
     if r.shape != (d, d):
         raise DimensionMismatchError(f"state shape {r.shape} does not match d={d}")
     require_density(r)
-    lifted = kron(r.T, np.eye(d))
+    lifted = np.kron(r.T, np.eye(d))
     return d * partial_trace_in(lifted @ choi.matrix, d)
-
-
-def matrix_elements(op: QuantumOperation) -> np.ndarray:
-    """4-index tensor T[i,j,a,b] = d * <ia|C|jb> of the operation."""
-    d = op.dim
-    c = op.choi.matrix
-    return d * c.reshape(d, d, d, d).transpose(0, 2, 1, 3)
 
 
 def kraus_from_choi(choi: ChoiState) -> np.ndarray:

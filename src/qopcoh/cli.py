@@ -206,8 +206,8 @@ def verify(suite, samples, seed):
 
 @main.command("random")
 @click.option("--kind", required=True, type=click.Choice(["unitary", "cptp", "incoherent-cptp", "superop"]))
-@click.option("--d", "dim", default=2, show_default=True)
-@click.option("--env-dim", default=2, show_default=True, help="Environment size for CPTP sampling.")
+@click.option("--d", "dim", type=click.IntRange(min=2), default=2, show_default=True)
+@click.option("--env-dim", type=COUNT, default=2, show_default=True, help="Environment size for CPTP sampling.")
 @click.option("--seed", type=SEED, required=True)
 @click.option("--out", type=click.Path(), default=None, help="Output file (default: stdout).")
 def random_cmd(kind, dim, env_dim, seed, out):

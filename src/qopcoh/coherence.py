@@ -149,59 +149,6 @@ def mf_pure(op: QuantumOperation) -> MeasureResult:
     return MeasureResult(value=value, kind="exact_pure", witness_index=divmod(m, choi.d))
 
 
-@dataclass(frozen=True)
-class EulerParams:
-    """Angles (alpha, beta, gamma, delta) of the single-qubit Euler form."""
-
-    alpha: float
-    beta: float
-    gamma: float
-    delta: float
-
-
-def unitary_from_euler(p: EulerParams) -> np.ndarray:
-    """Rebuild the unitary e^{i alpha} Rz(beta) Ry(gamma) Rz(delta)."""
-    rz_b = np.diag([np.exp(-0.5j * p.beta), np.exp(0.5j * p.beta)])
-    ry = np.array(
-        [
-            [math.cos(p.gamma / 2), -math.sin(p.gamma / 2)],
-            [math.sin(p.gamma / 2), math.cos(p.gamma / 2)],
-        ],
-        dtype=complex,
-    )
-    rz_d = np.diag([np.exp(-0.5j * p.delta), np.exp(0.5j * p.delta)])
-    return np.exp(1j * p.alpha) * (rz_b @ ry @ rz_d)
-
-
-def euler_params_from_unitary(u) -> EulerParams:
-    """Extract Euler angles; gamma normalized to [0, pi].
-
-    |U[0,0]| within 1e-12 of 0 or 1 is snapped to the exact boundary cases
-    gamma = pi or gamma = 0, avoiding arccos domain noise.
-    """
-    m = require_unitary(u, dim=2)
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    alpha = float(np.angle(det)) / 2.0
-    a = m[0, 0]
-    b = -m[0, 1]
-    am, bm = abs(a), abs(b)
-    if bm <= 1e-12:
-        gamma = 0.0
-        delta = 0.0
-        beta = 2.0 * (alpha - float(np.angle(a)))
-    elif am <= 1e-12:
-        gamma = math.pi
-        delta = 0.0
-        beta = 2.0 * (alpha - float(np.angle(b)))
-    else:
-        gamma = 2.0 * math.atan2(bm, am)
-        theta_a = float(np.angle(a))
-        theta_b = float(np.angle(b))
-        beta = 2.0 * alpha - theta_a - theta_b
-        delta = theta_b - theta_a
-    return EulerParams(alpha=alpha, beta=beta, gamma=gamma, delta=delta)
-
-
 def mf_single_qubit_unitary(u) -> MeasureResult:
     """Closed-form measure of a single-qubit unitary.
 
@@ -297,17 +244,16 @@ def mf_convex_roof(
     restarts: int = 32,
     max_iter: int = 2000,
     seed=0,
-    ensemble_size: int | None = None,
 ) -> MeasureResult:
     """Upper bound on the convex-roof measure of a (possibly mixed) operation.
 
     The Choi state C = sum_i lam_i |e_i><e_i| (rank r) is decomposed into
     ensembles |psi~_n> = sum_i V[n,i] sqrt(lam_i) |e_i> through m x r
-    isometries V, which sweep every ensemble of cardinality m.  The
-    objective sum_n p_n sqrt(1 - max_k |<k|psi_n>|^2) is minimized by
-    Riemannian gradient descent on the isometries from ``restarts``
-    starting points: the eigendecomposition ensemble and random
-    isometries.  Pure inputs short-circuit to mf_pure.
+    isometries V with m = r^2, which sweep every ensemble of up to r^2
+    members.  The objective sum_n p_n sqrt(1 - max_k |<k|psi_n>|^2) is
+    minimized by Riemannian gradient descent on the isometries from
+    ``restarts`` starting points: the eigendecomposition ensemble and
+    random isometries.  Pure inputs short-circuit to mf_pure.
 
     The starting points run in lockstep as lanes of one (restarts, m, r)
     stack.  Each step takes every lane's gradient, projects it onto the
@@ -333,9 +279,7 @@ def mf_convex_roof(
         return mf_pure(op)
     lam, vecs = choi.support()
     r = int(lam.size)
-    m = r * r if ensemble_size is None else int(ensemble_size)
-    if not r <= m <= r * r:
-        raise ValueError(f"ensemble_size must lie in [{r}, {r * r}], got {m}")
+    m = r * r
     a_t = (vecs * np.sqrt(lam)).T  # rows: sqrt(lam_i) e_i
     a_h = a_t.conj().swapaxes(-1, -2)
     rng = rng_from(seed)
@@ -492,8 +436,11 @@ def verify_axioms(samples: int = 20, seed=0) -> AxiomReport:
     preserve purity, plus projective partitions and two-branch mixtures);
     convexity on random mixtures.  Checks whose left side is only a
     convex-roof upper bound are marked inconclusive instead of failed when
-    the comparison comes out the wrong way.
+    the comparison comes out the wrong way.  With no samples it would pass
+    without checking anything, so ``samples`` must be at least 1.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rng = rng_from(seed)
     report = AxiomReport()
     d = 2

@@ -2,13 +2,12 @@
 
 Everything downstream runs through the primitives here: input admission,
 Hermitian eigendecomposition, PSD square roots, the two partial traces over
-the |i alpha> product basis, Kronecker products and column-stacking
-vectorization.
+the |i alpha> product basis and column-stacking vectorization.
 
 Basis convention, fixed project wide: the tensor basis ket |i alpha> of the
 input(x)output space maps to linear index ``i*d + alpha`` (input index
-major).  Vectorization is column stacking, so ``vec(A X B) == kron(B.T, A)
-@ vec(X)``.
+major).  Vectorization is column stacking, so
+``vec(A X B) == np.kron(B.T, A) @ vec(X)``.
 """
 
 from typing import NamedTuple
@@ -50,6 +49,8 @@ def dagger(a: np.ndarray) -> np.ndarray:
 def require_square(a: np.ndarray) -> int:
     if a.shape[0] != a.shape[1]:
         raise NotSquareError(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
+    if a.shape[0] == 0:
+        raise DimensionMismatchError("matrix is empty")
     return a.shape[0]
 
 
@@ -199,11 +200,6 @@ def partial_trace_in(a, d: int) -> np.ndarray:
     m = as_complex_matrix(a)
     _require_choi_shape(m, d)
     return np.trace(m.reshape(d, d, d, d), axis1=0, axis2=2)
-
-
-def kron(a, b) -> np.ndarray:
-    """Tensor product with (i*dB + alpha) index ordering, matching |i alpha>."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
 
 
 def vectorize(a) -> np.ndarray:

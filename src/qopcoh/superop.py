@@ -79,6 +79,8 @@ class Superoperation:
 
     @classmethod
     def from_matrix(cls, matrix, d: int) -> "Superoperation":
+        if d < 1:
+            raise DimensionMismatchError(f"dimension must be positive, got {d}")
         m = require_finite(matrix, what="superoperation matrix").copy()
         if m.shape != (d**4, d**4):
             raise DimensionMismatchError(f"expected {d**4}x{d**4} matrix, got {m.shape}")
@@ -115,30 +117,6 @@ class Superoperation:
         m = (ks.conj().T @ ks).reshape(dd, dd, dd, dd).transpose(0, 2, 1, 3).reshape(dd * dd, dd * dd)
         m.setflags(write=False)
         return m
-
-
-def probe_matrix(s: Superoperation) -> np.ndarray:
-    """Rebuild the matrix by probing with all matrix units of the Choi space.
-
-    Independent of the batched contraction; used to assert that every
-    constructor form and its cached matrix agree.
-    """
-    dd = s.d * s.d
-    out = np.zeros((dd * dd, dd * dd), dtype=complex)
-    for c in range(dd * dd):
-        unit = np.zeros(dd * dd, dtype=complex)
-        unit[c] = 1.0
-        e = devectorize(unit, dd)
-        if s.choi_kraus is not None:
-            image = sum(k @ e @ dagger(k) for k in s.choi_kraus)
-        else:
-            image = devectorize(s.matrix @ unit, dd)
-        out[:, c] = vectorize(image)
-    return out
-
-
-def identity_superoperation(d: int) -> Superoperation:
-    return Superoperation.from_kraus_on_choi([np.eye(d * d, dtype=complex)])
 
 
 @cache
@@ -381,11 +359,14 @@ def closure_harness(class_name: str, samples: int, seed, d: int = 2) -> ClosureR
     Draws ``samples`` pairs of verified class members; composes them and
     combines them convexly at the fixed weight grid, classifying every
     result.  Also records whether the de-phase incoherent verdict always
-    agrees with the commutation form of the paper, M T = T M.
+    agrees with the commutation form of the paper, M T = T M.  With no pairs
+    it would pass without checking anything, so ``samples`` must be at least 1.
     """
     name = class_name.lower().replace("*", "_star").replace("-", "_")
     if name not in CLASS_NAMES:
         raise ValueError(f"unknown class {class_name!r}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rng = rng_from(seed)
     report = ClosureReport(class_name=name, pairs=samples)
     theta = phase_out(d).matrix

@@ -8,7 +8,6 @@ import pytest
 
 from qopcoh import coherence
 from qopcoh.channel import (
-    HADAMARD,
     PAULI_X,
     QuantumOperation,
     dephasing_operation,
@@ -29,7 +28,6 @@ from qopcoh.coherence import (
     SQRT2_OVER_2,
     SQRT3_OVER_2,
     Ensemble,
-    euler_params_from_unitary,
     max_coherent_operation,
     measure_coherence,
     mf_convex_roof,
@@ -37,7 +35,6 @@ from qopcoh.coherence import (
     mf_single_qubit_unitary,
     operation_fidelity,
     uhlmann_fidelity,
-    unitary_from_euler,
     verify_axioms,
 )
 from qopcoh.coherence import _polar, _random_isometries, _row_terms, _tangent_gradient
@@ -153,54 +150,25 @@ class TestMfPure:
             assert abs(a.value - b.value) <= 1e-12
 
 
-class TestEulerParameters:
-    def test_identity_has_zero_gamma(self):
-        p = euler_params_from_unitary(np.eye(2))
-        assert p.gamma == 0.0
-        assert max_abs(unitary_from_euler(p) - np.eye(2)) <= 1e-12
-
-    def test_hadamard(self):
-        p = euler_params_from_unitary(HADAMARD)
-        assert abs(p.gamma - math.pi / 2) <= 1e-12
-        assert abs(np.exp(2j * p.alpha) + 1.0) <= 1e-12  # e^{2i alpha} = -1
-        assert max_abs(unitary_from_euler(p) - HADAMARD) <= 1e-10
-
-    def test_pauli_x_has_gamma_pi(self):
-        p = euler_params_from_unitary(PAULI_X)
-        assert abs(p.gamma - math.pi) <= 1e-12
-        assert max_abs(unitary_from_euler(p) - PAULI_X) <= 1e-10
-
-    def test_reconstruction_on_haar_samples(self):
-        rng = np.random.default_rng(46)
-        for _ in range(300):
-            u = haar_unitary(2, rng)
-            p = euler_params_from_unitary(u)
-            assert 0.0 <= p.gamma <= math.pi
-            assert max_abs(unitary_from_euler(p) - u) <= 1e-10
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(NotUnitaryError):
-            euler_params_from_unitary(np.array([[1, 1], [0, 1]], dtype=complex))
-        with pytest.raises(NotUnitaryError):
-            euler_params_from_unitary(np.eye(3))
-        for bad in (np.inf, np.nan):
-            with pytest.raises(NotUnitaryError):
-                euler_params_from_unitary(np.array([[bad, 0], [0, 1]], dtype=complex))
-            with pytest.raises(NotUnitaryError):
-                mf_single_qubit_unitary(np.array([[bad, 0], [0, 1]], dtype=complex))
-
-
 class TestClosedFormQubit:
     def test_identity_and_x_attain_lower_endpoint(self):
         assert abs(mf_single_qubit_unitary(np.eye(2)).value - SQRT2_OVER_2) <= 1e-12
         assert abs(mf_single_qubit_unitary(PAULI_X).value - SQRT2_OVER_2) <= 1e-12
 
     def test_gamma_pi_over_three(self):
-        # min{sqrt(1 - 3/8), sqrt(1 - 1/8)} = sqrt(5/8)
-        from qopcoh.coherence import EulerParams
-
-        u = unitary_from_euler(EulerParams(alpha=0.0, beta=0.0, gamma=math.pi / 3, delta=0.0))
+        # Ry(pi/3): min{sqrt(1 - 3/8), sqrt(1 - 1/8)} = sqrt(5/8)
+        c, s = math.cos(math.pi / 6), math.sin(math.pi / 6)
+        u = np.array([[c, -s], [s, c]], dtype=complex)
         assert abs(mf_single_qubit_unitary(u).value - math.sqrt(5 / 8)) <= 1e-12
+
+    def test_rejects_non_unitary(self):
+        with pytest.raises(NotUnitaryError):
+            mf_single_qubit_unitary(np.array([[1, 1], [0, 1]], dtype=complex))
+        with pytest.raises(NotUnitaryError):
+            mf_single_qubit_unitary(np.eye(3))
+        for bad in (np.inf, np.nan):
+            with pytest.raises(NotUnitaryError):
+                mf_single_qubit_unitary(np.array([[bad, 0], [0, 1]], dtype=complex))
 
     def test_matches_pure_measure_on_haar_samples(self):
         rng = np.random.default_rng(47)
@@ -266,11 +234,6 @@ class TestConvexRoof:
         res = mf_convex_roof(mixed, restarts=6, max_iter=600, seed=6)
         assert res.value <= bound + 1e-9
 
-    def test_ensemble_size_validation(self):
-        mixed = mix_operations([0.5, 0.5], [identity_operation(2), pauli_z_operation()])
-        with pytest.raises(ValueError):
-            mf_convex_roof(mixed, seed=7, ensemble_size=1)
-
     def test_restart_count_validation(self):
         # a nonpositive count used to run one restart without saying so
         mixed = mix_operations([0.5, 0.5], [identity_operation(2), pauli_z_operation()])
@@ -313,13 +276,6 @@ class TestConvexRoof:
             attained += w * math.sqrt(max(float(diag[:-1].sum()), 0.0))
         assert abs(res.value - attained) <= 1e-12
         assert res.value <= res.history[-1] + 1e-12
-
-    def test_smallest_ensemble_size(self):
-        mixed = mix_operations([0.7, 0.3], [hadamard_operation(), identity_operation(2)])
-        rank = mixed.choi.support().eigenvalues.size
-        res = mf_convex_roof(mixed, restarts=3, max_iter=300, seed=17, ensemble_size=rank)
-        assert len(res.ensemble.members) <= rank
-        assert max_abs(res.ensemble.reconstruction() - mixed.choi.matrix) <= 1e-8
 
     def test_direction_matches_finite_difference(self):
         # xi is tangent (v^dagger xi skew-Hermitian), and along a tangent Y
@@ -500,6 +456,12 @@ class TestAxiomHarness:
         report = verify_axioms(samples=8, seed=9)
         assert report.ok
         assert report.count("pass") > 0
+
+    def test_rejects_fewer_than_one_sample(self):
+        # with no samples the harness would pass without checking anything
+        for samples in (0, -1):
+            with pytest.raises(ValueError, match="samples must be at least 1"):
+                verify_axioms(samples=samples, seed=9)
 
     def test_axioms_cover_all_four_conditions(self):
         report = verify_axioms(samples=4, seed=10)

@@ -386,7 +386,7 @@ def _rejected_input(command, tmp_path):
         "convert": ([deph, "--to", "unitary"], None),
         "dephase": ([str(not_an_object)], None),
         "measure": ([deph], None),  # the convex roof without a seed
-        "random": (["--kind", "unitary", "--d", "0", "--seed", "1"], None),
+        "random": (["--kind", "unitary", "--seed", "1"], {"QOPCOH_TOL": "abc"}),
         "verify": (["--suite", "theorem11", "--samples", "1", "--seed", "1"], {"QOPCOH_TOL": "abc"}),
     }.get(command)
 
@@ -423,8 +423,21 @@ class TestCliFailsClosed:
             ["verify", "--suite", "corollary32", "--samples", "0", "--seed", "1"],
             ["verify", "--suite", "theorem12", "--seed", "-1"],
             ["random", "--kind", "unitary", "--seed", "-1"],
+            *(["random", "--kind", kind, "--d", "1", "--seed", "1"] for kind in ("unitary", "cptp", "incoherent-cptp", "superop")),
+            ["random", "--kind", "cptp", "--env-dim", "0", "--seed", "1"],
         ],
-        ids=["samples-negative", "samples-zero-theorem21", "samples-zero-corollary32", "verify-seed", "random-seed"],
+        ids=[
+            "samples-negative",
+            "samples-zero-theorem21",
+            "samples-zero-corollary32",
+            "verify-seed",
+            "random-seed",
+            "random-d-unitary",
+            "random-d-cptp",
+            "random-d-incoherent-cptp",
+            "random-d-superop",
+            "random-env-dim",
+        ],
     )
     def test_out_of_range_counts_and_seeds(self, args):
         self.assert_usage_error(args, message="Invalid value")
@@ -467,10 +480,11 @@ class TestCliFailsClosed:
 
     @pytest.mark.parametrize("d", ["1", "0"])
     def test_random_superop_names_its_dimension(self, d):
+        # click rejects the option before any generator runs
         result = self.runner.invoke(main, ["random", "--kind", "superop", "--d", d, "--seed", "1"])
         assert result.exit_code == 2, result.output
-        assert result.stderr == f"error: random superoperations require d >= 2, got d={d}\n"
-        assert "env_dim" not in result.stderr
+        assert f"Invalid value for '--d': {d} is not in the range x>=2." in result.stderr
+        assert "env" not in result.stderr
         assert result.stdout == ""
 
     def test_sandwich_declaring_another_d(self, tmp_path):

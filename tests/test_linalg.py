@@ -17,7 +17,6 @@ from qopcoh.exceptions import (
 from qopcoh.linalg import (
     devectorize,
     eig_hermitian,
-    kron,
     max_abs,
     partial_trace_in,
     partial_trace_out,
@@ -139,7 +138,7 @@ class TestPartialTraces:
         for d in (2, 3):
             a = random_psd(d, rng)
             b = random_psd(d, rng)
-            t = kron(a, b)
+            t = np.kron(a, b)
             assert max_abs(partial_trace_out(t, d) - a * np.trace(b)) <= 1e-10
             assert max_abs(partial_trace_in(t, d) - b * np.trace(a)) <= 1e-10
 
@@ -156,7 +155,7 @@ class TestPartialTraces:
         phi = np.zeros(4, dtype=complex)
         phi[[0, 3]] = 1 / np.sqrt(2)
         c_id = np.outer(phi, phi.conj())
-        lifted = kron(rho.T, np.eye(2)) @ c_id
+        lifted = np.kron(rho.T, np.eye(2)) @ c_id
         assert max_abs(partial_trace_in(lifted, 2) - rho / 2) <= 1e-12
 
     def test_dimension_mismatch(self):
@@ -164,20 +163,6 @@ class TestPartialTraces:
             partial_trace_out(np.eye(3), 2)
         with pytest.raises(DimensionMismatchError):
             partial_trace_in(np.eye(8), 2)
-
-
-class TestKron:
-    def test_identity(self):
-        assert max_abs(kron(np.eye(2), np.eye(2)) - np.eye(4)) == 0
-
-    def test_diagonal(self):
-        assert max_abs(kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])) - np.diag([1, 0, 0, 0])) == 0
-
-    def test_block_placement(self):
-        t = kron(np.diag([1.0, 0.0]), PAULI_X)
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[:2, :2] = PAULI_X
-        assert max_abs(t - expected) == 0
 
 
 class TestVectorization:
@@ -195,13 +180,13 @@ class TestVectorization:
             a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            assert max_abs(kron(b.T, a) @ vectorize(x) - vectorize(a @ x @ b)) <= 1e-12
+            assert max_abs(np.kron(b.T, a) @ vectorize(x) - vectorize(a @ x @ b)) <= 1e-12
 
     def test_kraus_conjugation_identity(self):
         rng = np.random.default_rng(8)
         k = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        lhs = kron(k.conj(), k) @ vectorize(x)
+        lhs = np.kron(k.conj(), k) @ vectorize(x)
         rhs = vectorize(k @ x @ k.conj().T)
         assert max_abs(lhs - rhs) <= 1e-12
 
