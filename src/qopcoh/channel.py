@@ -100,38 +100,30 @@ class ChoiState:
         """Dominant eigenvector; meaningful when is_pure()."""
         return self._eig.eigenvectors[:, 0]
 
-    @property
-    def output_marginal(self) -> np.ndarray:
-        return partial_trace_out(self.matrix, self.d)
-
 
 @dataclass(frozen=True)
 class CptpReport:
-    """Verdict plus the two residuals behind the CPTP iff-condition."""
+    """Verdict (read as ``.ok``) plus the two residuals behind the CPTP iff-condition."""
 
     ok: bool
     min_eigenvalue: float
     marginal_residual: float
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def is_cptp(choi: ChoiState) -> CptpReport:
     """C >= 0 and tr_out(C) = I/d, both to the admission tolerance."""
     tol = admission_atol()
     min_eig = float(choi._eig.eigenvalues[-1])
-    marginal = max_abs(choi.output_marginal - np.eye(choi.d) / choi.d)
+    marginal = max_abs(partial_trace_out(choi.matrix, choi.d) - np.eye(choi.d) / choi.d)
     return CptpReport(min_eig >= -tol and marginal <= tol, min_eig, marginal)
 
 
 @dataclass(frozen=True)
 class IncoherenceReport:
+    """Verdict (read as ``.ok``) plus the largest off-diagonal Choi entry."""
+
     ok: bool
     max_offdiagonal: float
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def is_incoherent_operation(choi: ChoiState) -> IncoherenceReport:

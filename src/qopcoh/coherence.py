@@ -53,7 +53,6 @@ from .exceptions import (
     InvalidChoiError,
     MethodInapplicableError,
     NotPureChoiError,
-    UnsupportedDimError,
 )
 from .linalg import max_abs, psd_root, require_density, require_unitary, require_weights
 from .superop import Superoperation, apply as apply_superop, kraus_outcomes
@@ -99,7 +98,11 @@ class Ensemble:
     members: tuple
 
     def __post_init__(self):
-        require_weights(self.weights, ValueError)
+        p = require_weights(self.weights, ValueError)
+        if len(self.members) != p.size:
+            raise DimensionMismatchError("one weight per ensemble member required")
+        if len({member.dim for member in self.members}) > 1:
+            raise DimensionMismatchError("ensemble members must share one dimension")
         for member in self.members:
             if not member.choi.is_pure():
                 raise NotPureChoiError("ensemble members must carry pure Choi states")
@@ -164,18 +167,18 @@ def mf_single_qubit_unitary(u) -> MeasureResult:
     return MeasureResult(value=value, kind="closed_form_qubit", witness_index=witness)
 
 
-def max_coherent_operation(thetas, d: int = 2) -> QuantumOperation:
-    """The maximally coherent single-qubit operation for given phase angles.
+def max_coherent_operation(thetas) -> QuantumOperation:
+    """The maximally coherent single-qubit operation for four phase angles theta[i, a].
 
     Single Kraus operator K[a, i] = exp(i theta[i, a]) / sqrt(2); its Choi
     state is the pure uniform-modulus matrix with entries
     exp(i(theta[i,a] - theta[j,b])) / 4 and measure sqrt(3)/2 for every
     choice of angles.
     """
-    if d != 2:
-        raise UnsupportedDimError("the maximally coherent operation is defined for d = 2")
-    th = np.asarray(thetas, dtype=float).reshape(2, 2)
-    k = np.exp(1j * th.T) / np.sqrt(2.0)
+    th = np.asarray(thetas, dtype=float)
+    if th.size != 4:
+        raise DimensionMismatchError(f"the maximally coherent operation needs four angles, got {th.size}")
+    k = np.exp(1j * th.reshape(2, 2).T) / np.sqrt(2.0)
     return QuantumOperation.from_kraus([k])
 
 
@@ -407,6 +410,12 @@ def _perm_phase_choi_kraus(dd: int, rng: np.random.Generator) -> np.ndarray:
     return k
 
 
+def _two_branch_choi_kraus(dd: int, rng: np.random.Generator) -> list:
+    """Kraus pair sqrt(q) K_1, sqrt(1 - q) K_2 of permutation-phase unitaries, q drawn first."""
+    q = float(rng.uniform(0.2, 0.8))
+    return [np.sqrt(q) * _perm_phase_choi_kraus(dd, rng), np.sqrt(1 - q) * _perm_phase_choi_kraus(dd, rng)]
+
+
 def _partition_projectors(dd: int, rng: np.random.Generator) -> list:
     """Two complementary diagonal projectors covering the Choi basis."""
     mask = rng.integers(0, 2, size=dd).astype(bool)
@@ -469,12 +478,7 @@ def verify_axioms(samples: int = 20, seed=0) -> AxiomReport:
     for n in range(samples // 2):
         phi = random_unitary(d, rng)
         base = mf_pure(phi).value
-        q = float(rng.uniform(0.2, 0.8))
-        branches = [
-            np.sqrt(q) * _perm_phase_choi_kraus(dd, rng),
-            np.sqrt(1 - q) * _perm_phase_choi_kraus(dd, rng),
-        ]
-        out = apply_superop(Superoperation.from_kraus_on_choi(branches), phi)
+        out = apply_superop(Superoperation.from_kraus_on_choi(_two_branch_choi_kraus(dd, rng)), phi)
         value, exact = _measure_value(out, rng)
         _check(report, "monotonicity", f"two-branch ISO mixture #{n}", value, base, exact)
 
@@ -486,11 +490,7 @@ def verify_axioms(samples: int = 20, seed=0) -> AxiomReport:
             kraus = _partition_projectors(dd, rng)
             label = f"projective partition #{n}"
         else:
-            q = float(rng.uniform(0.2, 0.8))
-            kraus = [
-                np.sqrt(q) * _perm_phase_choi_kraus(dd, rng),
-                np.sqrt(1 - q) * _perm_phase_choi_kraus(dd, rng),
-            ]
+            kraus = _two_branch_choi_kraus(dd, rng)
             label = f"branching perm-phase ISO #{n}"
         outcomes = kraus_outcomes(Superoperation.from_kraus_on_choi(kraus), phi)
         total_p = sum(p for p, _ in outcomes)

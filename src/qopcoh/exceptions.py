@@ -53,10 +53,6 @@ class InputNotCPTPError(QopcohError):
     pass
 
 
-class UnsupportedDimError(QopcohError):
-    pass
-
-
 class GeneratorExhaustedError(QopcohError):
     pass
 

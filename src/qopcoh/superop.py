@@ -300,33 +300,34 @@ def random_incoherent_sandwich(d: int, rng) -> Superoperation:
     )
 
 
-def sample_class_member(name: str, d: int, rng, max_attempts: int = 64) -> Superoperation:
+def sample_class_member(name: str, d: int, rng) -> Superoperation:
     """Draw a verified member of one of the three superoperation classes.
 
     MISO members apply phase-out after a random sandwich (or are
     sandwiches of incoherent channels), MISO* members apply phase-out
-    first, DISO members apply it on both sides.  Every candidate is
-    re-verified by the classifier before it is returned.
+    first, DISO members apply it on both sides.  One draw is enough: each
+    construction is an exact member of its class, since phase-out is a 0/1
+    mask and an incoherent Kraus operator maps basis states to basis states.
+    The classifier still re-checks the draw, and a failed check raises.
     """
     if name not in CLASS_NAMES:
         raise ValueError(f"unknown class {name!r}; expected one of {CLASS_NAMES}")
     rng = rng_from(rng)
     theta = phase_out(d)
-    for _ in range(max_attempts):
-        base = random_sandwich(d, rng)
-        if name == "miso":
-            candidate = (
-                compose(theta, base)
-                if rng.uniform() < 0.5
-                else random_incoherent_sandwich(d, rng)
-            )
-        elif name == "miso_star":
-            candidate = compose(base, theta)
-        else:
-            candidate = compose(theta, compose(base, theta))
-        if getattr(classify(candidate), f"in_{name}"):
-            return candidate
-    raise GeneratorExhaustedError(f"failed to sample a {name} member in {max_attempts} attempts")
+    base = random_sandwich(d, rng)
+    if name == "miso":
+        candidate = (
+            compose(theta, base)
+            if rng.uniform() < 0.5
+            else random_incoherent_sandwich(d, rng)
+        )
+    elif name == "miso_star":
+        candidate = compose(base, theta)
+    else:
+        candidate = compose(theta, compose(base, theta))
+    if not getattr(classify(candidate), f"in_{name}"):
+        raise GeneratorExhaustedError(f"the sampled {name} candidate failed its class check")
+    return candidate
 
 
 COMBINATION_WEIGHTS = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -353,7 +354,7 @@ class ClosureReport:
         return not self.violations and self.intersection_consistent
 
 
-def closure_harness(class_name: str, samples: int, seed, d: int = 2) -> ClosureReport:
+def closure_harness(name: str, samples: int, seed, d: int = 2) -> ClosureReport:
     """Check closure of a superoperation class under composition and mixing.
 
     Draws ``samples`` pairs of verified class members; composes them and
@@ -362,9 +363,8 @@ def closure_harness(class_name: str, samples: int, seed, d: int = 2) -> ClosureR
     agrees with the commutation form of the paper, M T = T M.  With no pairs
     it would pass without checking anything, so ``samples`` must be at least 1.
     """
-    name = class_name.lower().replace("*", "_star").replace("-", "_")
     if name not in CLASS_NAMES:
-        raise ValueError(f"unknown class {class_name!r}")
+        raise ValueError(f"unknown class {name!r}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     rng = rng_from(seed)

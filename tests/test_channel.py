@@ -32,7 +32,7 @@ from qopcoh.exceptions import (
     QopcohError,
     WeightError,
 )
-from qopcoh.linalg import dagger, max_abs, require_density
+from qopcoh.linalg import dagger, max_abs, partial_trace_out, require_density
 from qopcoh.superop import Superoperation
 
 IDENTITY_CHOI = np.array(
@@ -154,7 +154,7 @@ class TestMatrixElements:
         for _ in range(20):
             op = random_cptp(3, int(rng.integers(1, 3)), rng)
             t = 3 * op.choi.matrix.reshape(3, 3, 3, 3).transpose(0, 2, 1, 3)
-            marginal = op.choi.output_marginal
+            marginal = partial_trace_out(op.choi.matrix, 3)
             for i in range(3):
                 for j in range(3):
                     s = sum(t[i, j, a, a] for a in range(3)) / 3

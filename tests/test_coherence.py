@@ -39,11 +39,11 @@ from qopcoh.coherence import (
 )
 from qopcoh.coherence import _polar, _random_isometries, _row_terms, _tangent_gradient
 from qopcoh.exceptions import (
+    DimensionMismatchError,
     MethodInapplicableError,
     NotDensityMatrixError,
     NotPureChoiError,
     NotUnitaryError,
-    UnsupportedDimError,
 )
 from qopcoh.linalg import dagger, max_abs
 
@@ -191,9 +191,11 @@ class TestMaxCoherentOperation:
         assert max_abs(op.choi.matrix - np.full((4, 4), 0.25)) <= 1e-12
         assert op.choi.is_pure()
 
-    def test_only_qubit_supported(self):
-        with pytest.raises(UnsupportedDimError):
-            max_coherent_operation(np.zeros(4), d=3)
+    def test_needs_four_angles(self):
+        # three angles used to reach numpy's reshape error
+        for thetas in ([1, 2, 3], np.zeros(5), []):
+            with pytest.raises(DimensionMismatchError, match="needs four angles"):
+                max_coherent_operation(thetas)
 
 
 class TestConvexRoof:
@@ -246,6 +248,20 @@ class TestConvexRoof:
         for weights in ([0.5], [np.nan], [-1.0]):
             with pytest.raises(ValueError):
                 Ensemble(weights=np.array(weights), members=member)
+
+    def test_ensemble_needs_one_weight_per_member(self):
+        # zip used to drop the extra weights, so half a state was admitted
+        op = identity_operation(2)
+        with pytest.raises(DimensionMismatchError, match="one weight per ensemble member"):
+            Ensemble(weights=np.array([0.5, 0.5]), members=(op,))
+        with pytest.raises(DimensionMismatchError, match="one weight per ensemble member"):
+            Ensemble(weights=np.array([1.0]), members=())
+        assert Ensemble(weights=np.array([0.5, 0.5]), members=(op, op)).members == (op, op)
+
+    def test_ensemble_members_share_one_dimension(self):
+        # mixed dimensions used to reach numpy's broadcast error in reconstruction()
+        with pytest.raises(DimensionMismatchError, match="share one dimension"):
+            Ensemble(weights=np.array([0.5, 0.5]), members=(identity_operation(2), identity_operation(3)))
 
     def test_incoherent_mixture_stops_at_zero(self):
         rng = np.random.default_rng(12)

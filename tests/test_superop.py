@@ -18,6 +18,7 @@ from qopcoh.channel import (
 )
 from qopcoh.exceptions import (
     DimensionMismatchError,
+    GeneratorExhaustedError,
     InputNotCPTPError,
     InvalidKrausError,
     NoKrausFormError,
@@ -432,6 +433,27 @@ class TestSamplingAndClosure:
                 member = sample_class_member(name, 2, rng)
                 rep = classify(member)
                 assert {"miso": rep.in_miso, "miso_star": rep.in_miso_star, "diso": rep.in_diso}[name]
+
+    def test_sampler_checks_its_one_draw(self, monkeypatch):
+        # every construction is an exact member, so one draw is made; a
+        # classifier that rejects it makes the sampler raise, not retry
+        calls = []
+
+        def nothing(s):
+            calls.append(s)
+            return ClassificationReport(False, False, False, 1.0, 1.0, 1.0)
+
+        monkeypatch.setattr(superop, "classify", nothing)
+        for name in CLASS_NAMES:
+            calls.clear()
+            with pytest.raises(GeneratorExhaustedError, match=name):
+                sample_class_member(name, 2, np.random.default_rng(36))
+            assert len(calls) == 1
+
+    def test_closure_harness_takes_class_names_only(self):
+        for name in ("MISO*", "miso-star", "MISO", "DISO"):
+            with pytest.raises(ValueError, match="unknown class"):
+                closure_harness(name, 1, 0)
 
     def test_closure_small_run(self):
         for name in CLASS_NAMES:

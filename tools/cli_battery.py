@@ -1,0 +1,106 @@
+"""Run a fixed battery of qopcoh commands and print one line per command.
+
+Usage:
+
+    python tools/cli_battery.py ROOT WORKDIR
+
+Each command runs in its own interpreter, with the package imported from
+ROOT/src and WORKDIR as the working directory, so reports echo the same
+relative file names whichever checkout is tested.  Each output line holds
+the exit code, one digest of stdout, stderr and the --out file (when the
+command writes one), and the command.  Run it against two checkouts, each
+with its own empty WORKDIR, and diff the two outputs: a refactor that
+keeps every report, message, exit code and written document prints the
+same lines.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+LAUNCH = "import sys; from qopcoh.cli import main; main(args=sys.argv[1:], prog_name='qopcoh')"
+OPERATION_KINDS = ("unitary", "cptp", "incoherent-cptp")
+
+
+def commands() -> list:
+    """The battery, in run order; later commands read the documents earlier ones write."""
+    battery = [
+        # the README session
+        "random --kind cptp --d 2 --seed 7 --out channel.json",
+        "check channel.json --predicate cptp",
+        "dephase channel.json --out dephased.json",
+        "check dephased.json --predicate incoherent",
+        "measure dephased.json --method convex-roof --restarts 16 --seed 3",
+        "verify --suite all --samples 200 --seed 1",
+    ]
+    docs = []
+    for d in (2, 3):
+        for kind in (*OPERATION_KINDS, "superop"):
+            name = f"{kind}-d{d}"
+            battery.append(f"random --kind {kind} --d {d} --seed {10 + d} --out {name}.json")
+            if kind != "superop":
+                docs.append(name)
+    for name in docs:
+        battery += [
+            f"check {name}.json --predicate cptp",
+            f"check {name}.json --predicate incoherent",
+            f"dephase {name}.json --out {name}-dephased.json",
+            *(
+                f"convert {name}.json --to {target} --out {name}-{target}.json"
+                for target in ("unitary", "kraus", "choi")
+            ),
+            f"measure {name}.json --seed 5",
+            f"measure {name}-dephased.json --method convex-roof --restarts 8 --seed 3",
+        ]
+    battery += [f"classify superop-d{d}.json" for d in (2, 3)]
+    for suite in ("theorem11", "theorem12", "theorem21", "corollary32", "axioms"):
+        battery += [f"verify --suite {suite} --samples {samples} --seed 1" for samples in (1, 10)]
+    # --samples 200 ran in the README session
+    battery.append("verify --suite all --samples 20 --seed 1")
+    # a method that does not apply to its input exits 2
+    battery += [
+        "measure channel.json --method pure",
+        "measure channel.json --method qubit-closed-form",
+        "measure channel.json --method convex-roof",
+    ]
+    # the suite choices, as listed in the help and in a usage error
+    battery += ["verify --help", "verify --suite theorem99 --seed 1"]
+    return battery
+
+
+def run(command: str, src: Path, workdir: Path) -> str:
+    args = command.split()
+    out = workdir / args[args.index("--out") + 1] if "--out" in args else None
+    if out is not None and out.exists():
+        out.unlink()
+    env = {k: v for k, v in os.environ.items() if k != "QOPCOH_TOL"}
+    env.update(PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", LAUNCH, *args], cwd=workdir, env=env, capture_output=True, timeout=600
+    )
+    digest = hashlib.sha256()
+    for part in (proc.stdout, proc.stderr, out.read_bytes() if out is not None and out.exists() else b""):
+        digest.update(len(part).to_bytes(8, "little"))
+        digest.update(part)
+    return f"{proc.returncode}  {digest.hexdigest()[:16]}  {command}"
+
+
+def main(argv: list) -> int:
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    src = Path(argv[0]).resolve() / "src"
+    if not (src / "qopcoh").is_dir():
+        print(f"no qopcoh package under {src}", file=sys.stderr)
+        return 2
+    workdir = Path(argv[1]).resolve()
+    workdir.mkdir(parents=True, exist_ok=True)
+    for command in commands():
+        print(run(command, src, workdir), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
