@@ -47,7 +47,6 @@ from .exceptions import (
     InputNotCPTPError,
     InvalidKrausError,
     NoKrausFormError,
-    WeightError,
 )
 from .linalg import dagger, devectorize, max_abs, require_finite, require_kraus, require_weights, vectorize
 from .tolerances import admission_atol
@@ -177,7 +176,7 @@ def compose(s1: Superoperation, s2: Superoperation) -> Superoperation:
 def convex_combine(weights, sops) -> Superoperation:
     p = require_weights(weights)
     if len(sops) != p.size:
-        raise WeightError("one weight per superoperation required")
+        raise DimensionMismatchError("one weight per superoperation required")
     d = sops[0].d
     if any(s.d != d for s in sops):
         raise DimensionMismatchError("combined superoperations must share one dimension")

@@ -328,9 +328,9 @@ class TestConvexRoof:
             tracemalloc.stop()
         assert peak < 4e6
 
-    def test_descent_length_is_fixed(self, monkeypatch):
-        # the same number of steps on every coherent input, whatever its
-        # entries, and max_iter above that length changes nothing
+    def test_descent_stops_when_the_best_stalls(self, monkeypatch):
+        # at most _STEPS steps on every input, ended sooner once the best
+        # value stalls, and max_iter above that length changes nothing
         steps = []
         monkeypatch.setattr(coherence, "_polar", lambda v: steps.append(1) or _polar(v))
         rng = np.random.default_rng(21)
@@ -342,14 +342,36 @@ class TestConvexRoof:
             random_cptp(2, 4, rng),
         ):
             steps.clear()
-            capped, free = (mf_convex_roof(op, restarts=6, max_iter=n, seed=22) for n in (2000, 20000))
+            capped = mf_convex_roof(op, restarts=6, max_iter=2000, seed=22)
+            counts.append(len(steps))
+            free = mf_convex_roof(op, restarts=6, max_iter=20000, seed=22)
             assert capped.value == free.value
             assert capped.history == free.history
-            counts.append(len(steps))
             steps.clear()
             mf_convex_roof(op, restarts=6, max_iter=7, seed=22)
             assert len(steps) == 7
-        assert len(set(counts)) == 1
+        assert max(counts) <= coherence._STEPS
+        assert counts[0] < 50  # 0.7 H + 0.3 I
+
+    def test_stopped_value_stays_at_the_full_length_value(self):
+        # the stall stop gives up nothing on almost every input; on about 1
+        # in 200, a lane creeping at a kink would have overtaken the stalled
+        # best after the stop, by 8e-6 to 4.1e-5 over 1280 inputs
+        rng = np.random.default_rng(24)
+        excess = []
+        for n in range(64):
+            if n % 4 < 3:
+                op = random_cptp(2, 2 + n % 4, rng)
+            else:
+                p = float(rng.uniform(0.2, 0.8))
+                op = mix_operations([p, 1 - p], [random_unitary(2, rng), random_unitary(2, rng)])
+            assert not is_incoherent_operation(op.choi).ok
+            stopped = mf_convex_roof(op, restarts=6, max_iter=600, seed=n).value
+            full = _reference_roof(op, 6, 600, n, stall=False)[0]
+            excess.append(stopped - full)
+        assert max(excess) <= 1e-4
+        assert sum(e > 1e-9 for e in excess) <= 2
+        assert float(np.median(excess)) <= 1e-12
 
 
 def _reference_gradient(v, a_t):
@@ -366,10 +388,13 @@ def _reference_gradient(v, a_t):
     return g - v @ ((vg + dagger(vg)) / 2)
 
 
-def _reference_roof(op, restarts, max_iter, seed):
+def _reference_roof(op, restarts, max_iter, seed, stall=True):
     """Reference descent that takes psi = v a_t and the direction afresh on every step.
 
-    Returns (value, history, weights, steps taken, steps in which some lane accepted).
+    With ``stall`` it ends once the least lane value has gained no more
+    than 1e-12 of itself over the last 15 steps; without, it runs the full
+    length.  Returns (value, history, weights, steps taken, steps in which
+    some lane accepted).
     """
     lam, vecs = op.choi.support()
     r = lam.size
@@ -382,6 +407,7 @@ def _reference_roof(op, restarts, max_iter, seed):
     values = _row_terms(v @ a_t).sum(axis=1)
     step = np.full(restarts, 0.5)
     steps = accepting = 0
+    best = [float(values.min())]
     for _ in range(min(max_iter, coherence._STEPS)):
         if values.min() <= coherence._ZERO:
             break
@@ -393,6 +419,9 @@ def _reference_roof(op, restarts, max_iter, seed):
         values[accept] = trial_values[accept]
         steps += 1
         accepting += bool(accept.any())
+        best.append(float(values.min()))
+        if stall and steps >= 15 and best[steps - 15] - best[steps] <= 1e-12 * best[steps]:
+            break
     history = tuple(float(h) for h in np.minimum.accumulate(values))
     psi = v[np.argmin(values)] @ a_t
     p = (np.abs(psi) ** 2).sum(axis=1)

@@ -306,6 +306,14 @@ class TestComposeAndCombine:
             with pytest.raises(WeightError):
                 convex_combine(weights, [s, s])
 
+    def test_count_mismatch_is_a_dimension_mismatch(self):
+        # raised WeightError, unlike mix_operations and Ensemble for the same mistake
+        s = Superoperation.from_kraus_on_choi([np.eye(4)])
+        with pytest.raises(DimensionMismatchError, match="one weight per superoperation"):
+            convex_combine([0.5, 0.5], [s])
+        with pytest.raises(DimensionMismatchError, match="one weight per superoperation"):
+            convex_combine([1.0], [s, s])
+
 
 def product_form_residuals(s):
     """The membership residuals from the full products with the phase-out matrix."""
