@@ -197,7 +197,7 @@ def max_coherent_operation(thetas) -> QuantumOperation:
 # for up to 300.  Watching only the best value, a creeping lane holds the
 # descent open only while it is the best lane, and the cap still bounds
 # every call.  On about 1 in 200 inputs a creeping lane would have overtaken
-# the stalled best after the stop, by 1e-5 or so.
+# the stalled best after the stop, by up to 4e-5.
 _STEPS = 100
 _STALL_STEPS = 15
 _STALL_GAIN = 1e-12
