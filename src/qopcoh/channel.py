@@ -157,7 +157,7 @@ class QuantumOperation:
 
     @classmethod
     def from_kraus(cls, operators) -> "QuantumOperation":
-        stack = require_kraus(operators, InvalidKrausError, "Kraus")
+        stack = require_kraus(operators, "Kraus")
         return cls(stack.shape[1], "kraus", kraus=stack)
 
     @classmethod

@@ -26,13 +26,12 @@ Each step takes the Euclidean gradient G of the ensemble value, projects
 it onto the tangent space of the isometries, G - V herm(V^dagger G), and
 retracts the moved V to the nearest isometry by its polar factor.  A lane
 keeps a step only if it lowers the value, and then lengthens its next
-step by 1.3; a rejected step halves it.  The lanes carry their ensemble
-rows psi = V A^T, taken over from the scored trial when a step is kept,
-and a step after one that no lane kept reuses the last direction, since
-neither V nor psi has changed.  The descent takes at most 100 steps.  It
-stops sooner once the best value across lanes stalls, gaining no more than
-1e-12 of itself over 15 steps, or once a lane reaches zero, the least value
-possible.  The result is an upper bound on the roof.
+step by 1.3; a rejected step halves it.  One pass over each trial's
+ensemble rows psi = V A^T scores it and takes its direction, and each lane
+carries its rows, value and direction from the last step it kept.  The
+descent takes at most 100 steps.  It stops sooner once the best value
+across lanes stalls, gaining no more than 1e-12 of itself over 15 steps,
+or once a lane reaches zero, the least value possible.  The result is an upper bound on the roof.
 """
 
 import math
@@ -57,7 +56,6 @@ from .exceptions import (
 )
 from .linalg import max_abs, psd_root, require_density, require_unitary, require_weights
 from .superop import Superoperation, apply as apply_superop, kraus_outcomes
-from .tolerances import admission_atol
 
 SQRT2_OVER_2 = math.sqrt(2.0) / 2.0
 SQRT3_OVER_2 = math.sqrt(3.0) / 2.0
@@ -99,7 +97,7 @@ class Ensemble:
     members: tuple
 
     def __post_init__(self):
-        p = require_weights(self.weights, ValueError)
+        p = require_weights(self.weights)
         if len(self.members) != p.size:
             raise DimensionMismatchError("one weight per ensemble member required")
         if len({member.dim for member in self.members}) > 1:
@@ -228,12 +226,13 @@ def _polar(v: np.ndarray) -> np.ndarray:
     return v @ inv_root
 
 
-def _tangent_gradient(v: np.ndarray, psi: np.ndarray, a_h: np.ndarray) -> np.ndarray:
-    """Gradient of sum_n f_n at the isometries v, projected onto their tangent space.
+def _value_and_direction(v: np.ndarray, psi: np.ndarray, a_h: np.ndarray) -> tuple:
+    """Each lane's value sum_n f_n and its gradient projected onto the tangent space at v.
 
     f_n = sqrt(p_n (p_n - q_n)) with psi = v a_t, p_n = |psi_n|^2 and
-    q_n = |psi_nk*|^2 at the row's largest entry k*.  Holding k* fixed, the
-    Wirtinger derivative of f_n with respect to conj(psi_n) is
+    q_n = |psi_nk*|^2 at the row's largest entry k*; the value is summed as
+    ``_row_terms(psi).sum(axis=-1)`` sums it, bit for bit.  Holding k*
+    fixed, the Wirtinger derivative of f_n with respect to conj(psi_n) is
     Z = ((2 p_n - q_n) psi_n - p_n psi_nk* e_k*) / (2 f_n), and 0 on rows
     with f_n = 0.  Z pulls back to G = Z a_h with a_h = a_t^dagger, and the
     returned projection xi = G - v herm(v^dagger G) keeps the part tangent
@@ -248,7 +247,7 @@ def _tangent_gradient(v: np.ndarray, psi: np.ndarray, a_h: np.ndarray) -> np.nda
     z = psi * ((2.0 * p - q - p * top) / np.where(f > 0, 2.0 * f, np.inf))
     g = z @ a_h
     vg = v.conj().swapaxes(-1, -2) @ g
-    return g - v @ ((vg + vg.conj().swapaxes(-1, -2)) / 2)
+    return f[..., 0].sum(axis=-1), g - v @ ((vg + vg.conj().swapaxes(-1, -2)) / 2)
 
 
 def mf_convex_roof(
@@ -268,18 +267,18 @@ def mf_convex_roof(
     random isometries.  Pure inputs short-circuit to mf_pure.
 
     The starting points run in lockstep as lanes of one (restarts, m, r)
-    stack.  Each step takes every lane's gradient, projects it onto the
-    lane's tangent space (``_tangent_gradient``), moves against it by the
-    lane's step size and retracts to the nearest isometry by the polar
-    factor.  A lane keeps the step only when it lowers the lane's value;
-    its step size then grows by 1.3, and otherwise halves.  The lanes'
-    rows psi = V a_t are carried: a kept step copies them from the scored
-    trial, and a step after one that no lane kept reuses the direction,
-    because V and psi, and so the direction, are bit for bit the same.
-    The descent takes at most 100 steps, or ``max_iter`` if that is fewer.
-    It ends sooner once the best value across lanes stalls, having gained
-    no more than 1e-12 of itself over the last 15 steps, or once a lane
-    reaches zero, which no ensemble can beat.
+    stack.  Each step moves every lane against its direction, the gradient
+    projected onto the lane's tangent space, by the lane's step size and
+    retracts to the nearest isometry by the polar factor.  One pass of
+    ``_value_and_direction`` over the trial's rows psi = V a_t gives its
+    value and its direction together.  A lane keeps the step only when it
+    lowers the lane's value, and then copies V, psi, the value and the
+    direction from the trial; its step size then grows by 1.3, and
+    otherwise halves.  A lane that rejects keeps its V, and so its
+    direction.  The descent takes at most 100 steps, or ``max_iter`` if
+    that is fewer.  It ends sooner once the best value across lanes
+    stalls, having gained no more than 1e-12 of itself over the last 15
+    steps, or once a lane reaches zero, which no ensemble can beat.
 
     The returned history is the running minimum of the lanes' values in
     lane order, so it has ``restarts`` entries and is nonincreasing; the
@@ -301,24 +300,21 @@ def mf_convex_roof(
     v[0] = np.eye(m, r)  # warm start from the eigendecomposition ensemble itself
     v[1:] = _random_isometries(restarts - 1, m, r, rng)
     psi = v @ a_t
-    values = _row_terms(psi).sum(axis=1)
+    values, xi = _value_and_direction(v, psi, a_h)
     step = np.full(restarts, 0.5)
     best = [values.min()]  # best[i]: the least lane value after step i
-    moved = True
     for i in range(1, min(max_iter, _STEPS) + 1):
-        if moved:  # v, psi and values change only when a lane accepts
-            if best[-1] <= _ZERO:
-                break
-            xi = _tangent_gradient(v, psi, a_h)
+        if best[-1] <= _ZERO:
+            break
         trial = _polar(v - step[:, None, None] * xi)
         trial_psi = trial @ a_t
-        trial_values = _row_terms(trial_psi).sum(axis=1)
+        trial_values, trial_xi = _value_and_direction(trial, trial_psi, a_h)
         accept = trial_values < values
         step *= np.where(accept, 1.3, 0.5)
-        if moved := accept.any():
-            np.copyto(v, trial, where=accept[:, None, None])
-            np.copyto(psi, trial_psi, where=accept[:, None, None])
-            np.copyto(values, trial_values, where=accept)
+        np.copyto(v, trial, where=accept[:, None, None])
+        np.copyto(psi, trial_psi, where=accept[:, None, None])
+        np.copyto(xi, trial_xi, where=accept[:, None, None])
+        np.copyto(values, trial_values, where=accept)
         best.append(values.min())
         if i >= _STALL_STEPS and best[i - _STALL_STEPS] - best[i] <= _STALL_GAIN * best[i]:
             break
@@ -348,7 +344,7 @@ def measure_coherence(
     method: str = "auto",
     restarts: int = 32,
     max_iter: int = 2000,
-    seed=0,
+    seed=None,
 ) -> MeasureResult:
     """Dispatch to the closed form, the pure shortcut, or the convex roof.
 
@@ -479,8 +475,8 @@ def verify_axioms(samples: int = 20, seed=0) -> AxiomReport:
         value = mf_pure(u).value
         coherent = not is_incoherent_operation(u.choi).ok
         if coherent:
-            # measure must not vanish on a coherent operation
-            _check(report, "nonnegativity", f"coherent unitary #{n} scores positive", AXIOM_SLACK, value)
+            # measure must not vanish on a coherent operation: passes only when value >= AXIOM_SLACK
+            _check(report, "nonnegativity", f"coherent unitary #{n} scores positive", 2 * AXIOM_SLACK, value)
 
     # (2) monotonicity under incoherent superoperations
     for n in range(samples):
@@ -507,11 +503,8 @@ def verify_axioms(samples: int = 20, seed=0) -> AxiomReport:
             kraus = _two_branch_choi_kraus(dd, rng)
             label = f"branching perm-phase ISO #{n}"
         outcomes = kraus_outcomes(Superoperation.from_kraus_on_choi(kraus), phi)
-        total_p = sum(p for p, _ in outcomes)
-        # trace-decreasing branches would need reweighting; flag via label
-        if total_p < 1.0 - admission_atol():
-            label += f" (weights renormalized from {total_p:.6f})"
-        avg = sum(p * mf_pure(branch).value for p, branch in outcomes) / max(total_p, 1e-12)
+        # both Kraus sets are trace preserving, so the outcome weights sum to 1
+        avg = sum(p * mf_pure(branch).value for p, branch in outcomes)
         _check(report, "strong_monotonicity", label, avg, base)
 
     # (4) convexity of the roof extension

@@ -16,6 +16,7 @@ import numpy as np
 
 from .exceptions import (
     DimensionMismatchError,
+    InvalidKrausError,
     NotDensityMatrixError,
     NotFiniteError,
     NotHermitianError,
@@ -124,14 +125,14 @@ def require_unitary(a, error=NotUnitaryError, what: str = "matrix", dim: int | N
     return m
 
 
-def require_kraus(operators, error, what: str) -> np.ndarray:
+def require_kraus(operators, what: str) -> np.ndarray:
     """Admit a non-empty set of finite, equally shaped square matrices as one read-only (n, d, d) stack.
 
     The stack is a copy, so later writes to ``operators`` cannot reach it.
     """
-    ks = [require_finite(k, error, f"{what} operator") for k in operators]
+    ks = [require_finite(k, InvalidKrausError, f"{what} operator") for k in operators]
     if not ks:
-        raise error(f"empty {what} list")
+        raise InvalidKrausError(f"empty {what} list")
     d = require_square(ks[0])
     if any(k.shape != (d, d) for k in ks):
         raise DimensionMismatchError(f"{what} operators must share one square shape")
@@ -140,12 +141,12 @@ def require_kraus(operators, error, what: str) -> np.ndarray:
     return stack
 
 
-def require_weights(weights, error=WeightError) -> np.ndarray:
+def require_weights(weights) -> np.ndarray:
     """Admit finite, nonnegative weights summing to one to the admission tolerance."""
     p = np.asarray(weights, dtype=float).reshape(-1)
     admitted = p.size > 0 and np.isfinite(p).all() and (p >= 0).all()
     if not (admitted and abs(p.sum() - 1.0) <= admission_atol()):
-        raise error(f"weights must be finite, nonnegative and sum to 1, got {weights}")
+        raise WeightError(f"weights must be finite, nonnegative and sum to 1, got {weights}")
     return p
 
 

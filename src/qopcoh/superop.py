@@ -69,7 +69,7 @@ class Superoperation:
 
     @classmethod
     def from_kraus_on_choi(cls, operators) -> "Superoperation":
-        stack = require_kraus(operators, InvalidKrausError, "Choi-space Kraus")
+        stack = require_kraus(operators, "Choi-space Kraus")
         n = stack.shape[1]
         d = int(round(np.sqrt(n)))
         if d * d != n:
@@ -249,12 +249,12 @@ def check_structural_relations(s: Superoperation) -> StructuralReport:
     """Phase-out composition always lands in MISO; MISO* survives both sides."""
     theta = phase_out(s.d)
     after = classify(compose(theta, s))
-    both = classify(compose(theta, compose(s, theta)))
+    s_theta = compose(s, theta)
+    both = classify(compose(theta, s_theta))
     own = classify(s)
     if own.in_miso_star:
-        before = classify(compose(s, theta))
         star_after = after.in_miso_star
-        star_before = before.in_miso_star
+        star_before = classify(s_theta).in_miso_star
     else:
         star_after = None
         star_before = None

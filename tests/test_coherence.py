@@ -28,6 +28,7 @@ from qopcoh.coherence import (
     SQRT2_OVER_2,
     SQRT3_OVER_2,
     Ensemble,
+    MeasureResult,
     max_coherent_operation,
     measure_coherence,
     mf_convex_roof,
@@ -37,15 +38,24 @@ from qopcoh.coherence import (
     uhlmann_fidelity,
     verify_axioms,
 )
-from qopcoh.coherence import _polar, _random_isometries, _row_terms, _tangent_gradient
+from qopcoh.coherence import (
+    _partition_projectors,
+    _polar,
+    _random_isometries,
+    _row_terms,
+    _two_branch_choi_kraus,
+    _value_and_direction,
+)
 from qopcoh.exceptions import (
     DimensionMismatchError,
     MethodInapplicableError,
     NotDensityMatrixError,
     NotPureChoiError,
     NotUnitaryError,
+    WeightError,
 )
 from qopcoh.linalg import dagger, max_abs
+from qopcoh.superop import Superoperation, kraus_outcomes
 
 
 class TestUhlmannFidelity:
@@ -246,7 +256,7 @@ class TestConvexRoof:
     def test_ensemble_weight_validation(self):
         member = (identity_operation(2),)
         for weights in ([0.5], [np.nan], [-1.0]):
-            with pytest.raises(ValueError):
+            with pytest.raises(WeightError):
                 Ensemble(weights=np.array(weights), members=member)
 
     def test_ensemble_needs_one_weight_per_member(self):
@@ -294,8 +304,9 @@ class TestConvexRoof:
         assert res.value <= res.history[-1] + 1e-12
 
     def test_direction_matches_finite_difference(self):
-        # xi is tangent (v^dagger xi skew-Hermitian), and along a tangent Y
-        # the value moves by 2 Re tr(xi^dagger Y)
+        # xi is tangent (v^dagger xi skew-Hermitian), along a tangent Y the
+        # value moves by 2 Re tr(xi^dagger Y), and the value comes out with
+        # the bits of the row terms' sum
         rng = np.random.default_rng(18)
         h = 1e-6
         for _ in range(10):
@@ -310,7 +321,8 @@ class TestConvexRoof:
             def value(w):
                 return float(_row_terms(w @ a_t).sum())
 
-            xi = _tangent_gradient(v, v @ a_t, dagger(a_t))
+            total, xi = _value_and_direction(v, v @ a_t, dagger(a_t))
+            assert total == _row_terms(v @ a_t).sum()
             vxi = dagger(v) @ xi
             assert max_abs(vxi + dagger(vxi)) <= 1e-12
             numeric = (value(v + h * y) - value(v - h * y)) / (2 * h)
@@ -393,8 +405,7 @@ def _reference_roof(op, restarts, max_iter, seed, stall=True):
 
     With ``stall`` it ends once the least lane value has gained no more
     than 1e-12 of itself over the last 15 steps; without, it runs the full
-    length.  Returns (value, history, weights, steps taken, steps in which
-    some lane accepted).
+    length.  Returns (value, history, weights, steps taken).
     """
     lam, vecs = op.choi.support()
     r = lam.size
@@ -406,7 +417,7 @@ def _reference_roof(op, restarts, max_iter, seed, stall=True):
     v[1:] = _random_isometries(restarts - 1, m, r, rng)
     values = _row_terms(v @ a_t).sum(axis=1)
     step = np.full(restarts, 0.5)
-    steps = accepting = 0
+    steps = 0
     best = [float(values.min())]
     for _ in range(min(max_iter, coherence._STEPS)):
         if values.min() <= coherence._ZERO:
@@ -418,7 +429,6 @@ def _reference_roof(op, restarts, max_iter, seed, stall=True):
         v[accept] = trial[accept]
         values[accept] = trial_values[accept]
         steps += 1
-        accepting += bool(accept.any())
         best.append(float(values.min()))
         if stall and steps >= 15 and best[steps - 15] - best[steps] <= 1e-12 * best[steps]:
             break
@@ -426,7 +436,7 @@ def _reference_roof(op, restarts, max_iter, seed, stall=True):
     psi = v[np.argmin(values)] @ a_t
     p = (np.abs(psi) ** 2).sum(axis=1)
     kept = p > 1e-12
-    return float(_row_terms(psi[kept]).sum()), history, p[kept], steps, accepting
+    return float(_row_terms(psi[kept]).sum()), history, p[kept], steps
 
 
 def _descent_inputs():
@@ -436,6 +446,8 @@ def _descent_inputs():
         yield random_cptp(2, env, rng)
     yield mix_operations([0.4, 0.6], [random_incoherent_cptp(2, rng), random_incoherent_cptp(2, rng)])
     yield random_cptp(3, 2, rng)
+    yield mix_operations([0.55, 0.45], [random_unitary(2, rng), random_unitary(2, rng)])
+    yield random_cptp(3, 3, rng)
 
 
 class TestCarriedDescent:
@@ -445,29 +457,26 @@ class TestCarriedDescent:
                 for max_iter in (0, 1, 7, 600):
                     seed = 100 * n + restarts
                     res = mf_convex_roof(op, restarts=restarts, max_iter=max_iter, seed=seed)
-                    value, history, weights, _, _ = _reference_roof(op, restarts, max_iter, seed)
+                    value, history, weights, _ = _reference_roof(op, restarts, max_iter, seed)
                     assert res.value == value
                     assert res.history == history
                     assert res.ensemble.weights.shape == weights.shape
                     assert (res.ensemble.weights == weights).all()
 
-    def test_direction_is_kept_through_rejected_steps(self, monkeypatch):
-        # a step after one in which no lane accepted reuses the direction
-        evaluations, steps = [], []
+    def test_one_value_and_direction_pass_per_step(self, monkeypatch):
+        # the start stack and each step's trial are scored once, with the
+        # direction taken in the same pass
+        passes, steps = [], []
         monkeypatch.setattr(
-            coherence, "_tangent_gradient", lambda *args: evaluations.append(1) or _tangent_gradient(*args)
+            coherence, "_value_and_direction", lambda *args: passes.append(1) or _value_and_direction(*args)
         )
         monkeypatch.setattr(coherence, "_polar", lambda v: steps.append(1) or _polar(v))
         for n, op in enumerate(_descent_inputs()):
-            evaluations.clear()
+            passes.clear()
             steps.clear()
-            seed = 22 if n == 0 else n
-            mf_convex_roof(op, restarts=6, max_iter=600, seed=seed)
-            _, _, _, reference_steps, accepting = _reference_roof(op, 6, 600, seed)
-            assert len(steps) == reference_steps
-            assert len(evaluations) <= 1 + accepting
-            if n == 0:  # 0.7 H + 0.3 I
-                assert len(evaluations) < len(steps)
+            mf_convex_roof(op, restarts=6, max_iter=600, seed=n)
+            assert len(steps) == _reference_roof(op, 6, 600, n)[3]
+            assert len(passes) == 1 + len(steps)
 
 
 class TestDispatch:
@@ -494,6 +503,8 @@ class TestDispatch:
         for method in ("auto", "convex-roof"):
             with pytest.raises(MethodInapplicableError):
                 measure_coherence(dephasing_operation(2), method=method, seed=None)
+            with pytest.raises(MethodInapplicableError, match="seed is required"):
+                measure_coherence(dephasing_operation(2), method=method)
 
 
 class TestAxiomHarness:
@@ -507,6 +518,25 @@ class TestAxiomHarness:
         for samples in (0, -1):
             with pytest.raises(ValueError, match="samples must be at least 1"):
                 verify_axioms(samples=samples, seed=9)
+
+    def test_coherent_unitary_check_fails_on_a_zero_measure(self, monkeypatch):
+        # the check once passed whenever the value was nonnegative
+        def zero_on_unitaries(op):
+            return MeasureResult(value=0.0, kind="exact_pure") if op.kind == "unitary" else mf_pure(op)
+
+        monkeypatch.setattr(coherence, "mf_pure", zero_on_unitaries)
+        report = verify_axioms(samples=10, seed=1)
+        positive = [c for c in report.checks if "scores positive" in c.description]
+        assert len(positive) == 10
+        assert all(c.status == "fail" for c in positive)
+
+    def test_strong_monotonicity_outcome_weights_sum_to_one(self):
+        # both Choi-space Kraus sets are trace preserving
+        rng = np.random.default_rng(25)
+        for n in range(40):
+            kraus = (_partition_projectors if n % 2 == 0 else _two_branch_choi_kraus)(4, rng)
+            outcomes = kraus_outcomes(Superoperation.from_kraus_on_choi(kraus), random_unitary(2, rng))
+            assert abs(sum(p for p, _ in outcomes) - 1.0) <= 1e-12
 
     def test_axioms_cover_all_four_conditions(self):
         report = verify_axioms(samples=4, seed=10)
