@@ -40,9 +40,9 @@ from .linalg import (
     psd_root,
     require_density,
     require_kraus,
+    require_mixture,
     require_square,
     require_unitary,
-    require_weights,
 )
 from .tolerances import admission_atol
 
@@ -284,14 +284,8 @@ def dephasing_operation(d: int) -> QuantumOperation:
 
 def mix_operations(weights, ops) -> QuantumOperation:
     """Convex mixture, realized on Choi states: C = sum_n p_n C_n."""
-    p = require_weights(weights)
-    if len(ops) != p.size:
-        raise DimensionMismatchError("one weight per operation required")
-    d = ops[0].dim
-    if any(op.dim != d for op in ops):
-        raise DimensionMismatchError("mixed operations must share one dimension")
-    c = sum(w * op.choi.matrix for w, op in zip(p, ops))
-    return QuantumOperation.from_choi(ChoiState(c, d))
+    c = require_mixture(weights, [op.choi.matrix for op in ops], "operation")
+    return QuantumOperation.from_choi(ChoiState(c, ops[0].dim))
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

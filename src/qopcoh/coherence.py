@@ -17,21 +17,10 @@ evaluated here directly from |U[0,0]| and |U[0,1]|.
 
 Mixed Choi states get the convex-roof extension: minimize the ensemble
 average of the pure measure over all pure-Choi ensembles realizing the
-state.  The estimator below parameterizes ensembles through isometries V
-acting on the eigendecomposition and runs Riemannian gradient descent on
-them (Roethlisberger, Lehmann & Loss, PRA 80, 042301, 2009, on the
-geometry of Edelman, Arias & Smith, SIAM J. Matrix Anal. Appl. 20, 303,
-1998) from several seeded starting points at once, as lanes of one stack.
-Each step takes the Euclidean gradient G of the ensemble value, projects
-it onto the tangent space of the isometries, G - V herm(V^dagger G), and
-retracts the moved V to the nearest isometry by its polar factor.  A lane
-keeps a step only if it lowers the value, and then lengthens its next
-step by 1.3; a rejected step halves it.  One pass over each trial's
-ensemble rows psi = V A^T scores it and takes its direction, and each lane
-carries its rows, value and direction from the last step it kept.  The
-descent takes at most 100 steps.  It stops sooner once the best value
-across lanes stalls, gaining no more than 1e-12 of itself over 15 steps,
-or once a lane reaches zero, the least value possible.  The result is an upper bound on the roof.
+state.  ``mf_convex_roof`` bounds it from above by Riemannian gradient
+descent on isometries (Roethlisberger, Lehmann & Loss, PRA 80, 042301,
+2009, on the geometry of Edelman, Arias & Smith, SIAM J. Matrix Anal.
+Appl. 20, 303, 1998).
 """
 
 import math
@@ -54,7 +43,7 @@ from .exceptions import (
     MethodInapplicableError,
     NotPureChoiError,
 )
-from .linalg import max_abs, psd_root, require_density, require_unitary, require_weights
+from .linalg import max_abs, psd_root, require_density, require_mixture, require_unitary
 from .superop import Superoperation, apply as apply_superop, kraus_outcomes
 
 SQRT2_OVER_2 = math.sqrt(2.0) / 2.0
@@ -97,17 +86,13 @@ class Ensemble:
     members: tuple
 
     def __post_init__(self):
-        p = require_weights(self.weights)
-        if len(self.members) != p.size:
-            raise DimensionMismatchError("one weight per ensemble member required")
-        if len({member.dim for member in self.members}) > 1:
-            raise DimensionMismatchError("ensemble members must share one dimension")
+        self.reconstruction()  # admits the weights and one equally shaped member per weight
         for member in self.members:
             if not member.choi.is_pure():
                 raise NotPureChoiError("ensemble members must carry pure Choi states")
 
     def reconstruction(self) -> np.ndarray:
-        return sum(w * member.choi.matrix for w, member in zip(self.weights, self.members))
+        return require_mixture(self.weights, [member.choi.matrix for member in self.members], "ensemble member")
 
 
 @dataclass(frozen=True)
@@ -254,7 +239,8 @@ def mf_convex_roof(
     op: QuantumOperation,
     restarts: int = 32,
     max_iter: int = 2000,
-    seed=0,
+    *,
+    seed,
 ) -> MeasureResult:
     """Upper bound on the convex-roof measure of a (possibly mixed) operation.
 
@@ -271,14 +257,15 @@ def mf_convex_roof(
     projected onto the lane's tangent space, by the lane's step size and
     retracts to the nearest isometry by the polar factor.  One pass of
     ``_value_and_direction`` over the trial's rows psi = V a_t gives its
-    value and its direction together.  A lane keeps the step only when it
-    lowers the lane's value, and then copies V, psi, the value and the
-    direction from the trial; its step size then grows by 1.3, and
-    otherwise halves.  A lane that rejects keeps its V, and so its
+    value and its direction together.  A lane carries V, its value and its
+    direction.  It keeps the step only when it lowers the lane's value, and
+    then copies all three from the trial; its step size then grows by 1.3,
+    and otherwise halves.  A lane that rejects keeps its V, and so its
     direction.  The descent takes at most 100 steps, or ``max_iter`` if
     that is fewer.  It ends sooner once the best value across lanes
     stalls, having gained no more than 1e-12 of itself over the last 15
-    steps, or once a lane reaches zero, which no ensemble can beat.
+    steps, or once a lane reaches zero, which no ensemble can beat.  The
+    rows of the best lane are formed once, after the loop.
 
     The returned history is the running minimum of the lanes' values in
     lane order, so it has ``restarts`` entries and is nonincreasing; the
@@ -299,20 +286,17 @@ def mf_convex_roof(
     v = np.empty((restarts, m, r), dtype=complex)
     v[0] = np.eye(m, r)  # warm start from the eigendecomposition ensemble itself
     v[1:] = _random_isometries(restarts - 1, m, r, rng)
-    psi = v @ a_t
-    values, xi = _value_and_direction(v, psi, a_h)
+    values, xi = _value_and_direction(v, v @ a_t, a_h)
     step = np.full(restarts, 0.5)
     best = [values.min()]  # best[i]: the least lane value after step i
     for i in range(1, min(max_iter, _STEPS) + 1):
         if best[-1] <= _ZERO:
             break
         trial = _polar(v - step[:, None, None] * xi)
-        trial_psi = trial @ a_t
-        trial_values, trial_xi = _value_and_direction(trial, trial_psi, a_h)
+        trial_values, trial_xi = _value_and_direction(trial, trial @ a_t, a_h)
         accept = trial_values < values
         step *= np.where(accept, 1.3, 0.5)
         np.copyto(v, trial, where=accept[:, None, None])
-        np.copyto(psi, trial_psi, where=accept[:, None, None])
         np.copyto(xi, trial_xi, where=accept[:, None, None])
         np.copyto(values, trial_values, where=accept)
         best.append(values.min())
@@ -320,7 +304,7 @@ def mf_convex_roof(
             break
 
     history = tuple(float(h) for h in np.minimum.accumulate(values))
-    psi = psi[np.argmin(values)]
+    psi = v[np.argmin(values)] @ a_t
     p = (np.abs(psi) ** 2).sum(axis=1)
     kept = p > 1e-12
     members = tuple(
@@ -446,7 +430,7 @@ def _check(report, axiom, description, lhs, rhs, exact_lhs=True):
     report.checks.append(AxiomCheck(axiom, description, status, float(lhs), float(rhs)))
 
 
-def verify_axioms(samples: int = 20, seed=0) -> AxiomReport:
+def verify_axioms(samples: int = 20, *, seed) -> AxiomReport:
     """Statistically exercise the four measure axioms.
 
     Nonnegativity / faithfulness run on constructed incoherent channels and

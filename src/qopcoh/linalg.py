@@ -150,6 +150,16 @@ def require_weights(weights) -> np.ndarray:
     return p
 
 
+def require_mixture(weights, matrices, what: str) -> np.ndarray:
+    """Admit a convex mixture, one equally shaped matrix per weight, and return sum_n p_n M_n."""
+    p = require_weights(weights)
+    if len(matrices) != p.size:
+        raise DimensionMismatchError(f"one weight per {what} required")
+    if any(m.shape != matrices[0].shape for m in matrices):
+        raise DimensionMismatchError(f"{what}s must share one dimension")
+    return sum(w * m for w, m in zip(p, matrices))
+
+
 def eig_hermitian(a) -> HermitianEig:
     """Eigendecompose a Hermitian matrix; spectrum sorted descending.
 

@@ -8,10 +8,11 @@ A superoperation can be built three ways:
   living on the d^2-dimensional Choi space;
 * directly as a d^4 x d^4 matrix acting on column-stacked Choi matrices.
 
-A sandwich induces the Choi-space Kraus set {pre_m^T (x) post_p}, so every
-form reduces to the canonical matrix representation, and all membership
-tests below are exact linear-algebra identities on those matrices.  Each
-is built from the (n, d^2, d^2) Kraus stack in one contraction.
+A sandwich induces the Choi-space Kraus set {pre_m^T (x) post_p}, formed as
+one (n, d^2, d^2) stack when the sandwich is built, so every form reduces to
+the canonical matrix representation, and all membership tests below are
+exact linear-algebra identities on those matrices.  Both Kraus forms build
+their matrix from the stack in one contraction; a matrix form holds its own.
 
 The phase-out superoperation deletes the off-diagonal Choi entries; its
 sandwich form (dephase outputs, dephase inputs) and its Kraus form
@@ -48,24 +49,40 @@ from .exceptions import (
     InvalidKrausError,
     NoKrausFormError,
 )
-from .linalg import dagger, devectorize, max_abs, require_finite, require_kraus, require_weights, vectorize
+from .linalg import dagger, devectorize, max_abs, require_finite, require_kraus, require_mixture, vectorize
 from .tolerances import admission_atol
 
 
 class Superoperation:
-    """A linear map on Choi matrices with a canonical matrix form, read-only once built."""
+    """A linear map on Choi matrices with a canonical matrix form, read-only once built.
+
+    ``choi_kraus`` is the read-only (n, d^2, d^2) stack of Choi-space Kraus
+    operators, or None for the matrix form.
+    """
 
     def __init__(self, d: int, form: str, *, post=None, pre=None, choi_kraus=None, matrix=None):
-        vars(self).update(d=d, form=form, post=post, pre=pre, _choi_kraus=choi_kraus, _matrix=matrix)
+        vars(self).update(d=d, form=form, post=post, pre=pre, choi_kraus=choi_kraus)
+        if matrix is not None:
+            vars(self)["matrix"] = matrix  # shadows the cached_property below, so nothing is built
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Superoperation.{name} is read-only")
 
     @classmethod
     def from_sandwich(cls, post: QuantumOperation, pre: QuantumOperation) -> "Superoperation":
+        """Phi -> post o Phi o pre, with its Choi-space Kraus stack {pre_q^T (x) post_p}, post-major.
+
+        The stack is one broadcast product, bit-equal to the Kronecker
+        products (each entry is one product b*a).
+        """
         if post.dim != pre.dim:
             raise DimensionMismatchError("sandwich halves must share one dimension")
-        return cls(post.dim, "sandwich", post=post, pre=pre)
+        a = post.kraus_operators
+        bt = pre.kraus_operators.transpose(0, 2, 1)
+        dd = post.dim * post.dim
+        stack = (bt[None, :, :, None, :, None] * a[:, None, None, :, None, :]).reshape(-1, dd, dd)
+        stack.setflags(write=False)
+        return cls(post.dim, "sandwich", post=post, pre=pre, choi_kraus=stack)
 
     @classmethod
     def from_kraus_on_choi(cls, operators) -> "Superoperation":
@@ -87,30 +104,12 @@ class Superoperation:
         return cls(d, "matrix", matrix=m)
 
     @cached_property
-    def choi_kraus(self) -> np.ndarray | None:
-        """Read-only (n, d^2, d^2) stack of Choi-space Kraus operators, when the form has them.
-
-        A sandwich's {pre_q^T (x) post_p}, post-major, is one broadcast product,
-        bit-equal to the Kronecker products (each entry is one product b*a).
-        """
-        if self._choi_kraus is not None or self.form != "sandwich":
-            return self._choi_kraus
-        a = self.post.kraus_operators
-        bt = self.pre.kraus_operators.transpose(0, 2, 1)
-        dd = self.d * self.d
-        stack = (bt[None, :, :, None, :, None] * a[:, None, None, :, None, :]).reshape(-1, dd, dd)
-        stack.setflags(write=False)
-        return stack
-
-    @cached_property
     def matrix(self) -> np.ndarray:
         """Canonical, read-only d^4 x d^4 matrix, acting on column-stacked Choi matrices.
 
         sum_n conj(K_n) (x) K_n in one product: G = conj(K)^T K over the flattened
         stack holds G[(r,c),(s,t)], reordered to the Kronecker layout [(r,s),(c,t)].
         """
-        if self._matrix is not None:
-            return self._matrix
         dd = self.d * self.d
         ks = self.choi_kraus.reshape(-1, dd * dd)
         m = (ks.conj().T @ ks).reshape(dd, dd, dd, dd).transpose(0, 2, 1, 3).reshape(dd * dd, dd * dd)
@@ -174,14 +173,8 @@ def compose(s1: Superoperation, s2: Superoperation) -> Superoperation:
 
 
 def convex_combine(weights, sops) -> Superoperation:
-    p = require_weights(weights)
-    if len(sops) != p.size:
-        raise DimensionMismatchError("one weight per superoperation required")
-    d = sops[0].d
-    if any(s.d != d for s in sops):
-        raise DimensionMismatchError("combined superoperations must share one dimension")
-    m = sum(w * s.matrix for w, s in zip(p, sops))
-    return Superoperation.from_matrix(m, d)
+    m = require_mixture(weights, [s.matrix for s in sops], "superoperation")
+    return Superoperation.from_matrix(m, sops[0].d)
 
 
 CLASS_NAMES = ("miso", "miso_star", "diso")

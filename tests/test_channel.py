@@ -284,6 +284,12 @@ class TestRepresentations:
     def test_mix_operations_matches_dephasing(self):
         mixed = mix_operations([0.5, 0.5], [identity_operation(2), pauli_z_operation()])
         assert max_abs(mixed.choi.matrix - DEPHASING_CHOI) <= 1e-15
+        rng = np.random.default_rng(41)
+        for d in (2, 3):
+            ops = [random_cptp(d, 2, rng) for _ in range(3)]
+            p = rng.dirichlet(np.ones(3))
+            expected = ChoiState(sum(w * op.choi.matrix for w, op in zip(p, ops)), d).matrix
+            assert np.array_equal(mix_operations(p, ops).choi.matrix, expected)
 
     def test_mix_operations_weight_validation(self):
         ops = [identity_operation(2), pauli_z_operation()]

@@ -252,6 +252,9 @@ class TestConvexRoof:
         for restarts in (0, -3):
             with pytest.raises(ValueError):
                 mf_convex_roof(mixed, restarts=restarts, seed=7)
+        # the estimator is randomized, so it never runs on a seed it was not given
+        with pytest.raises(TypeError):
+            mf_convex_roof(mixed, restarts=4)
 
     def test_ensemble_weight_validation(self):
         member = (identity_operation(2),)
@@ -518,6 +521,9 @@ class TestAxiomHarness:
         for samples in (0, -1):
             with pytest.raises(ValueError, match="samples must be at least 1"):
                 verify_axioms(samples=samples, seed=9)
+        # its roof estimates are randomized, so the harness needs an explicit seed
+        with pytest.raises(TypeError):
+            verify_axioms(samples=4)
 
     def test_coherent_unitary_check_fails_on_a_zero_measure(self, monkeypatch):
         # the check once passed whenever the value was nonnegative

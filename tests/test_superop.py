@@ -169,7 +169,7 @@ class TestBatchedBuilds:
     def test_phase_out_attributes_cannot_be_rebound(self):
         # a rebound d on the shared object would break every later apply
         t = phase_out(2)
-        for name, value in (("d", 3), ("form", "matrix"), ("post", None), ("pre", None)):
+        for name, value in (("d", 3), ("form", "matrix"), ("post", None), ("pre", None), ("choi_kraus", None)):
             with pytest.raises(AttributeError):
                 setattr(t, name, value)
         assert t.d == 2 and t.form == "kraus_on_choi"
@@ -186,6 +186,8 @@ class TestBatchedBuilds:
         with pytest.raises(ValueError):
             s.choi_kraus[0][0, 1] = 5.0
         sandwich = random_sandwich(2, np.random.default_rng(39))
+        # the stack is formed with the sandwich, before its matrix is read
+        assert "matrix" not in vars(sandwich) and vars(sandwich)["choi_kraus"] is sandwich.choi_kraus
         with pytest.raises(ValueError):
             sandwich.choi_kraus[0][0, 0] = 0.0
 
@@ -267,7 +269,13 @@ class TestKrausOutcomes:
         assert np.allclose([p for p, _ in outcomes], 0.25)
 
     def test_matrix_form_has_no_kraus(self):
-        s = Superoperation.from_matrix(np.eye(16), 2)
+        m = np.eye(16)
+        s = Superoperation.from_matrix(m, 2)
+        # the admitted copy is the matrix, held from construction, so reading it builds nothing
+        admitted = vars(s)["matrix"]
+        assert s.matrix is admitted and admitted is not m and s.choi_kraus is None
+        with pytest.raises(ValueError):
+            s.matrix[0, 1] = 1.0
         with pytest.raises(NoKrausFormError):
             kraus_outcomes(s, identity_operation(2))
 
@@ -295,6 +303,9 @@ class TestComposeAndCombine:
         s1, s2 = random_sandwich(2, rng), random_sandwich(2, rng)
         assert max_abs(convex_combine([0.0, 1.0], [s1, s2]).matrix - s2.matrix) == 0
         assert max_abs(convex_combine([1.0, 0.0], [s1, s2]).matrix - s1.matrix) == 0
+        for p in (0.25, 0.6):
+            expected = sum(w * s.matrix for w, s in zip(np.array([p, 1.0 - p]), (s1, s2)))
+            assert np.array_equal(convex_combine([p, 1.0 - p], [s1, s2]).matrix, expected)
 
     def test_weight_validation(self):
         s = Superoperation.from_kraus_on_choi([np.eye(4)])
@@ -313,6 +324,8 @@ class TestComposeAndCombine:
             convex_combine([0.5, 0.5], [s])
         with pytest.raises(DimensionMismatchError, match="one weight per superoperation"):
             convex_combine([1.0], [s, s])
+        with pytest.raises(DimensionMismatchError, match="superoperations must share one dimension"):
+            convex_combine([0.5, 0.5], [s, phase_out(3)])
 
 
 def product_form_residuals(s):

@@ -12,13 +12,23 @@ command writes one), and the command.  Run it against two checkouts, each
 with its own empty WORKDIR, and diff the two outputs: a refactor that
 keeps every report, message, exit code and written document prints the
 same lines.
+
+Before the first command the battery writes three superoperation
+documents into WORKDIR with plain numpy and json, so that ``classify``
+also reads the two document kinds ``random`` never writes: the d=2
+projectors |ia><ia| as a ``kraus_on_choi`` document, a fixed 16x16
+``matrix`` document, and the same matrix with one NaN entry, which must
+exit 2.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 LAUNCH = "import sys; from qopcoh.cli import main; main(args=sys.argv[1:], prog_name='qopcoh')"
 OPERATION_KINDS = ("unitary", "cptp", "incoherent-cptp")
@@ -55,6 +65,7 @@ def commands() -> list:
             f"measure {name}-dephased.json --method convex-roof --restarts 8 --seed 3",
         ]
     battery += [f"classify superop-d{d}.json" for d in (2, 3)]
+    battery += [f"classify {name}.json" for name in superoperation_documents()]
     for suite in ("theorem11", "theorem12", "theorem21", "corollary32", "axioms"):
         battery += [f"verify --suite {suite} --samples {samples} --seed 1" for samples in (1, 10)]
     # --samples 200 ran in the README session
@@ -68,6 +79,25 @@ def commands() -> list:
     # the suite choices, as listed in the help and in a usage error
     battery += ["verify --help", "verify --suite theorem99 --seed 1"]
     return battery
+
+
+def _document(kind: str, matrices: list) -> dict:
+    pairs = [[[[float(z.real), float(z.imag)] for z in row] for row in m] for m in matrices]
+    return {"schema_version": "1", "kind": kind, "d": 2, "matrices": pairs}
+
+
+def superoperation_documents() -> dict:
+    """The hand-written documents, by file stem; the same in every checkout."""
+    projectors = [np.outer(e, e).astype(complex) for e in np.eye(4)]
+    k = np.arange(256).reshape(16, 16)
+    m = ((k % 5 - 2) + 1j * (k % 3 - 1)) / 4
+    nan = m.copy()
+    nan[3, 5] = np.nan
+    return {
+        "projectors-kraus-on-choi": _document("kraus_on_choi", projectors),
+        "fixed-matrix": _document("matrix", [m]),
+        "fixed-matrix-nan": _document("matrix", [nan]),
+    }
 
 
 def run(command: str, src: Path, workdir: Path) -> str:
@@ -97,6 +127,8 @@ def main(argv: list) -> int:
         return 2
     workdir = Path(argv[1]).resolve()
     workdir.mkdir(parents=True, exist_ok=True)
+    for name, doc in superoperation_documents().items():
+        (workdir / f"{name}.json").write_text(json.dumps(doc, indent=2))
     for command in commands():
         print(run(command, src, workdir), flush=True)
     return 0
