@@ -157,7 +157,7 @@ def classify(in_file):
     default="auto",
     type=click.Choice(["auto", "pure", "qubit-closed-form", "convex-roof"]),
 )
-@click.option("--restarts", type=COUNT, default=32, show_default=True)
+@click.option("--restarts", type=click.IntRange(1, 256), default=32, show_default=True)
 @click.option("--max-iter", type=click.IntRange(min=0), default=2000, show_default=True)
 @click.option("--seed", type=SEED, default=None, help="Required when the convex roof runs.")
 @_report
@@ -172,8 +172,8 @@ def measure(in_file, method, restarts, max_iter, seed):
         ens = result.ensemble
         witness = {
             "ensemble_weights": [format_value(w) for w in ens.weights],
-            "members": len(ens.members),
-            "reconstruction_residual": channel.max_abs(ens.reconstruction() - op.choi.matrix),
+            "members": len(ens.weights),
+            "reconstruction_residual": channel.max_abs(ens.reconstruction - op.choi.matrix),
         }
     doc = report_document(
         "measure",

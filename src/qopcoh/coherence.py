@@ -25,11 +25,11 @@ Appl. 20, 303, 1998).
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .channel import (
-    ChoiState,
     QuantumOperation,
     is_incoherent_operation,
     mix_operations,
@@ -42,8 +42,9 @@ from .exceptions import (
     InvalidChoiError,
     MethodInapplicableError,
     NotPureChoiError,
+    WeightError,
 )
-from .linalg import max_abs, psd_root, require_density, require_mixture, require_unitary
+from .linalg import dagger, max_abs, psd_root, require_density, require_unitary, require_weights
 from .superop import Superoperation, apply as apply_superop, kraus_outcomes
 
 SQRT2_OVER_2 = math.sqrt(2.0) / 2.0
@@ -80,19 +81,49 @@ def operation_fidelity(a: QuantumOperation, b: QuantumOperation) -> float:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Weighted pure-Choi operations realizing a mixed Choi state."""
+    """Pure-Choi operations realizing a mixed Choi state, held as their rows.
 
-    weights: np.ndarray
-    members: tuple
+    Row n is the unnormalized vector psi~_n over the d^2 Choi basis.  Its
+    weight is p_n = |psi~_n|^2 and its member the pure Choi state
+    |psi~_n><psi~_n| / p_n, so every member is pure by construction.  The
+    rows are admitted once, as a read-only copy; weights, reconstruction
+    and members are derived from them when first read.
+    """
+
+    rows: np.ndarray
 
     def __post_init__(self):
-        self.reconstruction()  # admits the weights and one equally shaped member per weight
-        for member in self.members:
-            if not member.choi.is_pure():
-                raise NotPureChoiError("ensemble members must carry pure Choi states")
+        rows = np.array(self.rows, dtype=complex)
+        rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
+        if rows.ndim != 2 or math.isqrt(rows.shape[1]) ** 2 != rows.shape[1]:
+            raise DimensionMismatchError(f"ensemble rows must be an (n, d^2) array, got shape {rows.shape}")
+        if not (require_weights(self.weights) > 0).all():
+            raise WeightError("ensemble rows must be nonzero")
 
+    @cached_property
+    def weights(self) -> np.ndarray:
+        w = (np.abs(self.rows) ** 2).sum(axis=1)
+        w.setflags(write=False)
+        return w
+
+    def _matrices(self) -> np.ndarray:
+        # The Hermitian part, as Choi admission stores it: the complex products of
+        # one outer product need not come out exactly Hermitian.
+        m = self.rows[:, :, None] * self.rows.conj()[:, None, :] / self.weights[:, None, None]
+        return (m + dagger(m)) / 2.0
+
+    @cached_property
     def reconstruction(self) -> np.ndarray:
-        return require_mixture(self.weights, [member.choi.matrix for member in self.members], "ensemble member")
+        """sum_n p_n C_n, summed in member order."""
+        c = sum(w * m for w, m in zip(self.weights, self._matrices()))
+        c.setflags(write=False)
+        return c
+
+    @cached_property
+    def members(self) -> tuple:
+        """The member operations, built on first read."""
+        return tuple(QuantumOperation.from_choi(m) for m in self._matrices())
 
 
 @dataclass(frozen=True)
@@ -265,7 +296,8 @@ def mf_convex_roof(
     that is fewer.  It ends sooner once the best value across lanes
     stalls, having gained no more than 1e-12 of itself over the last 15
     steps, or once a lane reaches zero, which no ensemble can beat.  The
-    rows of the best lane are formed once, after the loop.
+    rows of the best lane are formed once, after the loop, and the returned
+    ensemble holds them; its members are built only if something reads them.
 
     The returned history is the running minimum of the lanes' values in
     lane order, so it has ``restarts`` entries and is nonincreasing; the
@@ -305,18 +337,12 @@ def mf_convex_roof(
 
     history = tuple(float(h) for h in np.minimum.accumulate(values))
     psi = v[np.argmin(values)] @ a_t
-    p = (np.abs(psi) ** 2).sum(axis=1)
-    kept = p > 1e-12
-    members = tuple(
-        QuantumOperation.from_choi(ChoiState(np.outer(row, row.conj()) / pn, choi.d))
-        for row, pn in zip(psi[kept], p[kept])
-    )
-    ensemble = Ensemble(weights=p[kept], members=members)
-    residual = max_abs(ensemble.reconstruction() - choi.matrix)
+    ensemble = Ensemble(psi[(np.abs(psi) ** 2).sum(axis=1) > 1e-12])
+    residual = max_abs(ensemble.reconstruction - choi.matrix)
     if not residual <= 1e-8:
         raise InvalidChoiError(f"optimizer ensemble fails to reconstruct the input ({residual:.2e})")
     return MeasureResult(
-        value=float(_row_terms(psi[kept]).sum()),
+        value=float(_row_terms(ensemble.rows).sum()),
         kind="convex_roof_upper_bound",
         ensemble=ensemble,
         history=history,

@@ -32,7 +32,7 @@ def matrix_to_json(m) -> list:
 def matrix_from_json(rows) -> np.ndarray:
     try:
         a = np.asarray(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer beyond float range
         raise ParseError(f"malformed matrix: {exc}") from exc
     if a.ndim != 3 or a.shape[2] != 2:
         raise ParseError(f"matrix entries must be [re, im] pairs, got shape {a.shape}")
@@ -49,8 +49,8 @@ def _require_fields(doc: dict, fields, what: str) -> None:
     if str(doc["schema_version"]) != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema_version {doc['schema_version']!r}")
     d = doc["d"]
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
-        raise ParseError(f"{what} field 'd' must be a positive integer, got {d!r}")
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 2:
+        raise ParseError(f"{what} field 'd' must be an integer of at least 2, got {d!r}")
     if not isinstance(doc.get("matrices", []), list):
         raise ParseError(f"{what} field 'matrices' must be a list")
 

@@ -237,7 +237,7 @@ class TestConvexRoof:
         mixed = mix_operations([0.7, 0.3], [hadamard_operation(), identity_operation(2)])
         res = mf_convex_roof(mixed, restarts=6, max_iter=600, seed=5)
         assert all(a >= b for a, b in zip(res.history, res.history[1:]))
-        assert max_abs(res.ensemble.reconstruction() - mixed.choi.matrix) <= 1e-8
+        assert max_abs(res.ensemble.reconstruction - mixed.choi.matrix) <= 1e-8
         assert abs(float(np.sum(res.ensemble.weights)) - 1.0) <= 1e-9
 
     def test_upper_bound_against_known_decomposition(self):
@@ -257,24 +257,32 @@ class TestConvexRoof:
             mf_convex_roof(mixed, restarts=4)
 
     def test_ensemble_weight_validation(self):
-        member = (identity_operation(2),)
-        for weights in ([0.5], [np.nan], [-1.0]):
+        # weights summing to 0.5, a NaN row, no rows at all, and an all-zero
+        # row, whose weight sums to one with the rest but whose member is 0 / 0
+        for rows in ([[np.sqrt(0.5), 0, 0, 0]], [[np.nan, 0, 0, 0]], np.zeros((0, 4)), [[1, 0, 0, 0], [0, 0, 0, 0]]):
             with pytest.raises(WeightError):
-                Ensemble(weights=np.array(weights), members=member)
+                Ensemble(np.array(rows))
 
-    def test_ensemble_needs_one_weight_per_member(self):
-        # zip used to drop the extra weights, so half a state was admitted
-        op = identity_operation(2)
-        with pytest.raises(DimensionMismatchError, match="one weight per ensemble member"):
-            Ensemble(weights=np.array([0.5, 0.5]), members=(op,))
-        with pytest.raises(DimensionMismatchError, match="one weight per ensemble member"):
-            Ensemble(weights=np.array([1.0]), members=())
-        assert Ensemble(weights=np.array([0.5, 0.5]), members=(op, op)).members == (op, op)
+    def test_ensemble_row_width_is_a_square(self):
+        for rows in (np.ones((2, 3)) / np.sqrt(6), np.ones(4) / 2):
+            with pytest.raises(DimensionMismatchError):
+                Ensemble(rows)
 
-    def test_ensemble_members_share_one_dimension(self):
-        # mixed dimensions used to reach numpy's broadcast error in reconstruction()
-        with pytest.raises(DimensionMismatchError, match="share one dimension"):
-            Ensemble(weights=np.array([0.5, 0.5]), members=(identity_operation(2), identity_operation(3)))
+    def test_ensemble_holds_a_read_only_copy_of_its_rows(self):
+        rows = np.array([[0.6, 0, 0, 0.6j], [0, 0.2, -0.2, 0.4 + 0.2j]])
+        ens = Ensemble(rows)
+        assert np.allclose(ens.weights, [0.72, 0.28])
+        assert ens.rows is not rows and not ens.rows.flags.writeable
+        assert max_abs(ens.reconstruction - rows.T @ rows.conj()) <= 1e-15
+
+    def test_members_are_built_only_when_read(self):
+        mixed = mix_operations([0.55, 0.45], [random_unitary(2, np.random.default_rng(17)), hadamard_operation()])
+        ens = mf_convex_roof(mixed, restarts=4, max_iter=200, seed=18).ensemble
+        assert "members" not in vars(ens)
+        members = [m.choi.matrix for m in ens.members]
+        # the reconstruction is the sum of the members' admitted Choi matrices, bit for bit
+        assert np.array_equal(ens.reconstruction, sum(w * m for w, m in zip(ens.weights, members)))
+        assert all(m.choi.is_pure() for m in ens.members)
 
     def test_incoherent_mixture_stops_at_zero(self):
         rng = np.random.default_rng(12)

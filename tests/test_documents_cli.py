@@ -444,8 +444,8 @@ class TestCliFailsClosed:
 
     @pytest.mark.parametrize(
         "extra",
-        [["--restarts", "-3"], ["--restarts", "0"], ["--max-iter", "-1"], ["--seed", "-1"]],
-        ids=["restarts-negative", "restarts-zero", "max-iter", "seed"],
+        [["--restarts", "-3"], ["--restarts", "0"], ["--restarts", "257"], ["--max-iter", "-1"], ["--seed", "-1"]],
+        ids=["restarts-negative", "restarts-zero", "restarts-over-cap", "max-iter", "seed"],
     )
     def test_measure_out_of_range_options(self, tmp_path, extra):
         src = write_operation(tmp_path, "deph.json", dephasing_operation(2))
@@ -457,11 +457,36 @@ class TestCliFailsClosed:
         src = write_doc(tmp_path, "k.json", doc)
         self.assert_usage_error(["check", src, "--predicate", "cptp"], env={"QOPCOH_TOL": raw}, message="error: QOPCOH_TOL")
 
-    @pytest.mark.parametrize("field,value", [("d", "x"), ("d", None), ("d", 2.5), ("matrices", 5)])
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("d", "x"),
+            ("d", None),
+            ("d", 2.5),
+            ("matrices", 5),
+            pytest.param("matrices", [[[[10**400, 0], [0, 0]], [[0, 0], [1, 0]]]], id="matrices-beyond-float-range"),
+        ],
+    )
     def test_malformed_operation_document(self, tmp_path, field, value):
         doc = operation_to_document(identity_operation(2))
         doc[field] = value
         self.assert_usage_error(["check", write_doc(tmp_path, "bad.json", doc), "--predicate", "cptp"])
+
+    @pytest.mark.parametrize(
+        "command,kind,options",
+        [
+            ("check", "unitary", ["--predicate", "cptp"]),
+            ("measure", "unitary", []),
+            ("convert", "unitary", ["--to", "choi"]),
+            ("dephase", "unitary", []),
+            ("classify", "matrix", []),
+        ],
+        ids=["check", "measure", "convert", "dephase", "classify"],
+    )
+    def test_one_dimensional_document(self, tmp_path, command, kind, options):
+        # d = 1 used to pass every reader but dephase, which refused it
+        doc = {"schema_version": "1", "kind": kind, "d": 1, "matrices": [[[[1.0, 0.0]]]]}
+        self.assert_usage_error([command, write_doc(tmp_path, "d1.json", doc), *options], message="at least 2")
 
     def test_infinite_unitary_entry(self, tmp_path):
         # run as a user runs it, with numpy's warnings left as warnings: an

@@ -318,7 +318,7 @@ class TestComposeAndCombine:
                 convex_combine(weights, [s, s])
 
     def test_count_mismatch_is_a_dimension_mismatch(self):
-        # raised WeightError, unlike mix_operations and Ensemble for the same mistake
+        # raised WeightError, unlike mix_operations for the same mistake
         s = Superoperation.from_kraus_on_choi([np.eye(4)])
         with pytest.raises(DimensionMismatchError, match="one weight per superoperation"):
             convex_combine([0.5, 0.5], [s])

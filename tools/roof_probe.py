@@ -8,10 +8,12 @@ Imports qopcoh from ROOT/src, builds 26 d=2 and 10 d=3 mixed operations
 from fixed seeds with qopcoh's own generators (Stinespring channels,
 two-unitary mixtures, 0.7 H + 0.3 I, incoherent mixtures), and runs
 ``mf_convex_roof(op, restarts=6, max_iter=600, seed=n)`` on each.  Each
-line holds the input's label, the value, the number of descent steps and
-one digest of the history and the ensemble weights.  Run it against two
-checkouts and diff the outputs to see which inputs a change to the
-estimator moved, and by how much.
+line holds the input's label, the value, the number of descent steps, one
+digest of the history and the ensemble weights, and one digest of the
+members' Choi matrices and of their weighted sum sum_n p_n C_n.  The probe
+reads the ensemble only through ``weights`` and ``members``.  Run it
+against two checkouts and diff the outputs to see which inputs a change to
+the estimator moved, and by how much.
 """
 
 import hashlib
@@ -48,8 +50,12 @@ def main(root: str) -> None:
     for n, (label, op) in enumerate(inputs(channel)):
         steps.clear()
         result = coherence.mf_convex_roof(op, restarts=6, max_iter=600, seed=n)
-        digest = hashlib.sha256(repr(result.history).encode() + result.ensemble.weights.tobytes()).hexdigest()[:16]
-        print(f"{label:28s} {result.value!r:22s} {len(steps):3d} {digest}")
+        ens = result.ensemble
+        digest = hashlib.sha256(repr(result.history).encode() + ens.weights.tobytes()).hexdigest()[:16]
+        matrices = [m.choi.matrix for m in ens.members]
+        mixture = sum(w * m for w, m in zip(ens.weights, matrices))
+        members = hashlib.sha256(b"".join(m.tobytes() for m in matrices) + mixture.tobytes()).hexdigest()[:16]
+        print(f"{label:28s} {result.value!r:22s} {len(steps):3d} {digest} {members}")
 
 
 if __name__ == "__main__":
