@@ -36,6 +36,9 @@ def matrix_from_json(rows) -> np.ndarray:
         raise ParseError(f"malformed matrix: {exc}") from exc
     if a.ndim != 3 or a.shape[2] != 2:
         raise ParseError(f"matrix entries must be [re, im] pairs, got shape {a.shape}")
+    # numpy also reads true, false and numeric strings as numbers
+    if any(isinstance(x, (bool, str)) for row in rows for pair in row for x in pair):
+        raise ParseError("matrix entries must be JSON numbers")
     require_finite(a.reshape(a.shape[0], -1), ParseError, "matrix")
     return a[:, :, 0] + 1j * a[:, :, 1]
 

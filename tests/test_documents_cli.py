@@ -465,6 +465,8 @@ class TestCliFailsClosed:
             ("d", 2.5),
             ("matrices", 5),
             pytest.param("matrices", [[[[10**400, 0], [0, 0]], [[0, 0], [1, 0]]]], id="matrices-beyond-float-range"),
+            pytest.param("matrices", [[[[True, False], [0, 0]], [[0, 0], [1, 0]]]], id="matrices-boolean-entry"),
+            pytest.param("matrices", [[[["1", 0], [0, 0]], [[0, 0], [1, 0]]]], id="matrices-string-entry"),
         ],
     )
     def test_malformed_operation_document(self, tmp_path, field, value):
@@ -544,3 +546,177 @@ class TestCliFailsClosed:
         args = {"dephase": [src], "convert": [src, "--to", "choi"], "random": ["--kind", "unitary", "--seed", "1"]}
         out = str(tmp_path / where)
         self.assert_usage_error([command, *args[command], "--out", out], message=f"error: cannot write {out}")
+
+
+# ---------------------------------------------------------------------------
+# Seeded mutation battery: every malformed document exits 2, with one error line
+# ---------------------------------------------------------------------------
+
+DEEP = "\x00deep"  # replaced by a list nested far beyond the JSON reader's recursion limit
+READERS = {
+    "operation": (
+        ["check", "--predicate", "cptp"],
+        ["measure", "--seed", "1", "--restarts", "1", "--max-iter", "1"],
+        ["convert", "--to", "choi"],
+        ["dephase"],
+    ),
+    "superoperation": (["classify"],),
+}
+# A JSON value of the wrong type for every field a reader reads, and for a matrix entry.
+WRONG_FIELD_VALUES = (None, "x", True, 1.5, [], {})
+WRONG_ENTRY_VALUES = (None, "x", "1", True, False, [], {})
+
+
+def _valid_documents() -> dict:
+    """A valid document of every kind, by label, with the family of commands that read it."""
+    from qopcoh.channel import random_cptp, random_unitary
+    from qopcoh.superop import random_sandwich
+
+    docs = {}
+    for d in (2, 3):
+        cptp = random_cptp(d, 2, d)
+        docs[f"unitary-d{d}"] = operation_to_document(random_unitary(d, d))
+        docs[f"kraus-d{d}"] = operation_to_document(cptp)
+        docs[f"choi-d{d}"] = operation_to_document(QuantumOperation.from_choi(cptp.choi))
+    docs["sandwich-d2"] = superoperation_to_document(random_sandwich(2, 1))
+    docs["kraus_on_choi-d2"] = superoperation_to_document(phase_out(2))
+    docs["matrix-d2"] = superoperation_to_document(Superoperation.from_matrix(phase_out(2).matrix, 2))
+    return {
+        label: (doc, "superoperation" if doc["kind"] in ("sandwich", "kraus_on_choi", "matrix") else "operation")
+        for label, doc in docs.items()
+    }
+
+
+def _pick(rng, options):
+    return options[int(rng.integers(len(options)))]
+
+
+def _objects(doc) -> list:
+    """The document and every operation document nested in it: the objects a reader reads fields from."""
+    return [doc, *(obj for half in ("post", "pre") if half in doc for obj in _objects(doc[half]))]
+
+
+def _read_fields(obj) -> tuple:
+    """The fields a reader reads; any other field (metadata, matrices on a sandwich) is ignored by design."""
+    return ("schema_version", "kind", "d", *(("post", "pre") if obj["kind"] == "sandwich" else ("matrices",)))
+
+
+def _entry(doc, rng):
+    """A random matrix entry, as (its [re, im] pair, the component index)."""
+    obj = _pick(rng, [o for o in _objects(doc) if "matrices" in o])
+    row = _pick(rng, _pick(rng, obj["matrices"]))
+    return _pick(rng, row), int(rng.integers(2))
+
+
+def _set_field_or_entry(doc, rng, field_value, entry_value, fields=None):
+    if rng.uniform() < 0.5:
+        obj = _pick(rng, _objects(doc))
+        obj[_pick(rng, fields or _read_fields(obj))] = field_value
+    else:
+        pair, c = _entry(doc, rng)
+        pair[c] = entry_value
+
+
+def _one_dimensional(obj):
+    """Make obj a valid document of d = 1: 1x1 matrices, halves of d = 1."""
+    obj["d"] = 1
+    if obj["kind"] == "sandwich":
+        for half in ("post", "pre"):
+            obj[half] = {"schema_version": "1", "kind": "unitary", "d": 1, "matrices": [[[[1.0, 0.0]]]]}
+    else:
+        obj["matrices"] = [[[[1.0, 0.0]]]]
+
+
+def _mutate(kind: str, doc: dict, rng) -> bytes:
+    """Apply one mutation from the list in ``MUTATIONS`` at rng-chosen sites; return the file's bytes."""
+    obj = _pick(rng, _objects(doc))
+    if kind == "drop-field":
+        del obj[_pick(rng, _read_fields(obj))]
+    elif kind == "wrong-type":
+        _set_field_or_entry(doc, rng, _pick(rng, WRONG_FIELD_VALUES), _pick(rng, WRONG_ENTRY_VALUES))
+    elif kind == "huge-integer":
+        _set_field_or_entry(doc, rng, 10**400, 10**400, fields=("d",))
+    elif kind == "non-finite":
+        value = _pick(rng, (float("nan"), float("inf"), float("-inf")))
+        _set_field_or_entry(doc, rng, value, value, fields=("d",))
+    elif kind == "ragged":
+        pair, c = _entry(doc, rng)
+        del pair[c]
+    elif kind == "wrong-shape":
+        matrix = _pick(rng, _pick(rng, [o for o in _objects(doc) if "matrices" in o])["matrices"])
+        how = _pick(rng, ("row", "column", "both"))
+        if how in ("row", "both"):
+            del matrix[-1]
+        if how in ("column", "both"):
+            for row in matrix:
+                del row[-1]
+    elif kind == "d-mismatch":
+        obj["d"] = _pick(rng, [d for d in (2, 3, 4) if d != obj["d"]])
+    elif kind == "bool-d":
+        obj["d"] = bool(rng.integers(2))
+    elif kind == "d-one":
+        _one_dimensional(obj)
+    elif kind == "non-object":
+        value = _pick(rng, ([], "x", 5, None, [dict(obj)]))
+        if obj is doc:
+            return json.dumps(value).encode()
+        parent = _pick(rng, [o for o in _objects(doc) if obj in (o.get("post"), o.get("pre"))])
+        parent["post" if parent.get("post") is obj else "pre"] = value
+    elif kind == "deep-nesting":
+        _set_field_or_entry(doc, rng, DEEP, DEEP)
+        return json.dumps(doc).replace(json.dumps(DEEP), "[" * 100_000 + "]" * 100_000).encode()
+    elif kind == "non-utf8":
+        text = json.dumps(doc).encode()
+        at = int(rng.integers(len(text) + 1))
+        return text[:at] + _pick(rng, (b"\xff", b"\xc3", b"\xe9")) + text[at:]
+    else:
+        raise AssertionError(f"unknown mutation {kind!r}")
+    return json.dumps(doc).encode()
+
+
+MUTATIONS = (
+    "drop-field",
+    "wrong-type",
+    "huge-integer",
+    "non-finite",
+    "ragged",
+    "wrong-shape",
+    "d-mismatch",
+    "bool-d",
+    "d-one",
+    "non-object",
+    "deep-nesting",
+    "non-utf8",
+)
+
+
+def test_mutation_battery(tmp_path):
+    """Every reader of every document kind exits 2 on each seeded mutant of a valid document.
+
+    The unmutated documents are read first and must not exit 2, so each
+    rejection below is owed to its mutation.  Each mutant must print one
+    "error: " line on stderr, no traceback and no report.
+    """
+    rng = np.random.default_rng(2024)
+    runner = CliRunner()
+    failures = []
+    for label, (valid, family) in _valid_documents().items():
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps(valid))
+        for command, *options in READERS[family]:
+            result = runner.invoke(main, [command, str(path), *options])
+            assert result.exit_code in (0, 1), f"{command} {label}: {result.stderr}"
+        for kind in MUTATIONS:
+            for draw in range(3):
+                path = tmp_path / f"{label}-{kind}-{draw}.json"
+                path.write_bytes(_mutate(kind, json.loads(json.dumps(valid)), rng))
+                for command, *options in READERS[family]:
+                    result = runner.invoke(main, [command, str(path), *options])
+                    if not (
+                        result.exit_code == 2
+                        and result.stderr.startswith("error: ")
+                        and "Traceback" not in result.stderr
+                        and result.stdout == ""
+                    ):
+                        failures.append(f"{command} {path.name}: exit {result.exit_code}, {result.stderr[:120]!r}")
+    assert not failures, "\n".join(failures)
