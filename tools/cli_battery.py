@@ -18,7 +18,8 @@ documents into WORKDIR with plain numpy and json, so that ``classify``
 also reads the two document kinds ``random`` never writes: the d=2
 projectors |ia><ia| as a ``kraus_on_choi`` document, a fixed 16x16
 ``matrix`` document, and the same matrix with one NaN entry, which must
-exit 2.
+exit 2.  It also writes seven documents whose arrays do not fit the d = 2
+they declare; ``check`` or ``classify`` must reject each with exit 2.
 """
 
 import hashlib
@@ -32,6 +33,7 @@ import numpy as np
 
 LAUNCH = "import sys; from qopcoh.cli import main; main(args=sys.argv[1:], prog_name='qopcoh')"
 OPERATION_KINDS = ("unitary", "cptp", "incoherent-cptp")
+OPERATION_DOCUMENT_KINDS = ("unitary", "kraus", "choi")
 
 
 def commands() -> list:
@@ -78,12 +80,15 @@ def commands() -> list:
     ]
     # the suite choices, as listed in the help and in a usage error
     battery += ["verify --help", "verify --suite theorem99 --seed 1"]
+    # arrays that do not fit the declared d
+    for name, doc in malformed_documents().items():
+        battery.append(f"check {name}.json --predicate cptp" if doc["kind"] in OPERATION_DOCUMENT_KINDS else f"classify {name}.json")
     return battery
 
 
-def _document(kind: str, matrices: list) -> dict:
+def _document(kind: str, matrices: list, d: int = 2) -> dict:
     pairs = [[[[float(z.real), float(z.imag)] for z in row] for row in m] for m in matrices]
-    return {"schema_version": "1", "kind": kind, "d": 2, "matrices": pairs}
+    return {"schema_version": "1", "kind": kind, "d": d, "matrices": pairs}
 
 
 def superoperation_documents() -> dict:
@@ -97,6 +102,20 @@ def superoperation_documents() -> dict:
         "projectors-kraus-on-choi": _document("kraus_on_choi", projectors),
         "fixed-matrix": _document("matrix", [m]),
         "fixed-matrix-nan": _document("matrix", [nan]),
+    }
+
+
+def malformed_documents() -> dict:
+    """Hand-written documents declaring d = 2 whose arrays do not fit it, by file stem."""
+    half = _document("unitary", [np.eye(3)], d=3)
+    return {
+        "unitary-3x3-under-d2": _document("unitary", [np.eye(3)]),
+        "kraus-two-shapes": _document("kraus", [np.eye(2) / np.sqrt(2), np.eye(3) / np.sqrt(2)]),
+        "choi-two-matrices": _document("choi", [np.eye(4) / 4, np.eye(4) / 4]),
+        "choi-9x9-under-d2": _document("choi", [np.eye(9) / 9]),
+        "kraus-on-choi-9x9": _document("kraus_on_choi", [np.eye(9)]),
+        "matrix-81x81": _document("matrix", [np.eye(81)]),
+        "sandwich-halves-d3": {"schema_version": "1", "kind": "sandwich", "d": 2, "post": half, "pre": half},
     }
 
 
@@ -127,7 +146,7 @@ def main(argv: list) -> int:
         return 2
     workdir = Path(argv[1]).resolve()
     workdir.mkdir(parents=True, exist_ok=True)
-    for name, doc in superoperation_documents().items():
+    for name, doc in {**superoperation_documents(), **malformed_documents()}.items():
         (workdir / f"{name}.json").write_text(json.dumps(doc, indent=2))
     for command in commands():
         print(run(command, src, workdir), flush=True)
