@@ -34,6 +34,7 @@ from .linalg import (
     HermitianEig,
     as_complex_matrix,
     dagger,
+    dimension,
     max_abs,
     partial_trace_in,
     partial_trace_out,
@@ -41,7 +42,6 @@ from .linalg import (
     require_density,
     require_kraus,
     require_mixture,
-    require_square,
     require_unitary,
 )
 from .tolerances import admission_atol
@@ -62,17 +62,11 @@ def rng_from(seed) -> np.random.Generator:
 
 
 class ChoiState:
-    """Trace-one PSD matrix on the d^2-dimensional input(x)output space."""
+    """Trace-one PSD matrix on the d^2-dimensional input(x)output space; d is read off its size."""
 
-    def __init__(self, matrix, d: int | None = None):
-        m = as_complex_matrix(matrix)
-        n = require_square(m)
-        if d is None:
-            d = int(round(np.sqrt(n)))
-        if d * d != n:
-            raise DimensionMismatchError(f"{n}x{n} matrix is not d^2 x d^2 for d={d}")
-        self.d = d
-        self.matrix, self._eig = require_density(m, InvalidChoiError, "Choi matrix")
+    def __init__(self, matrix):
+        self.matrix, self._eig = require_density(matrix, InvalidChoiError, "Choi matrix")
+        self.d = dimension(self.matrix.shape[0], 2, "Choi matrix")
         for a in (self.matrix, *self._eig):
             a.setflags(write=False)
 
@@ -114,7 +108,7 @@ def is_cptp(choi: ChoiState) -> CptpReport:
     """C >= 0 and tr_out(C) = I/d, both to the admission tolerance."""
     tol = admission_atol()
     min_eig = float(choi._eig.eigenvalues[-1])
-    marginal = max_abs(partial_trace_out(choi.matrix, choi.d) - np.eye(choi.d) / choi.d)
+    marginal = max_abs(partial_trace_out(choi.matrix) - np.eye(choi.d) / choi.d)
     return CptpReport(min_eig >= -tol and marginal <= tol, min_eig, marginal)
 
 
@@ -143,8 +137,8 @@ class QuantumOperation:
     Kraus set is trace preserving is exposed as a property instead.
     """
 
-    def __init__(self, dim: int, kind: str, *, kraus=None, choi=None):
-        self.dim = dim
+    def __init__(self, kind: str, *, kraus=None, choi=None):
+        self.dim = choi.d if kraus is None else dimension(kraus.shape[1], 1, "Kraus operator")
         self.kind = kind
         self._kraus = kraus
         self._choi = choi
@@ -153,17 +147,19 @@ class QuantumOperation:
     def from_unitary(cls, u) -> "QuantumOperation":
         stack = require_unitary(u)[None].copy()
         stack.setflags(write=False)
-        return cls(stack.shape[1], "unitary", kraus=stack)
+        return cls("unitary", kraus=stack)
 
     @classmethod
     def from_kraus(cls, operators) -> "QuantumOperation":
         stack = require_kraus(operators, "Kraus")
-        return cls(stack.shape[1], "kraus", kraus=stack)
+        return cls("kraus", kraus=stack)
 
     @classmethod
     def from_choi(cls, choi, d: int | None = None) -> "QuantumOperation":
-        state = choi if isinstance(choi, ChoiState) else ChoiState(choi, d)
-        return cls(state.d, "choi", choi=state)
+        state = choi if isinstance(choi, ChoiState) else ChoiState(choi)
+        if d is not None and d != state.d:
+            raise DimensionMismatchError(f"stated d = {d}, but the Choi matrix has d = {state.d}")
+        return cls("choi", choi=state)
 
     @property
     def unitary(self) -> np.ndarray:
@@ -213,7 +209,7 @@ def choi_from_operation(op: QuantumOperation) -> ChoiState:
     d = op.dim
     v = op.kraus_operators.transpose(0, 2, 1).reshape(-1, d * d) / np.sqrt(d)
     try:
-        return ChoiState(v.T @ v.conj(), d)
+        return ChoiState(v.T @ v.conj())
     except InvalidChoiError as exc:
         raise InvalidKrausError(f"Kraus set does not define a trace-one Choi state: {exc}") from exc
 
@@ -231,7 +227,7 @@ def apply_via_choi(choi: ChoiState, rho) -> np.ndarray:
         raise DimensionMismatchError(f"state shape {r.shape} does not match d={d}")
     require_density(r)
     lifted = np.kron(r.T, np.eye(d))
-    return d * partial_trace_in(lifted @ choi.matrix, d)
+    return d * partial_trace_in(lifted @ choi.matrix)
 
 
 def kraus_from_choi(choi: ChoiState) -> np.ndarray:
@@ -285,7 +281,7 @@ def dephasing_operation(d: int) -> QuantumOperation:
 def mix_operations(weights, ops) -> QuantumOperation:
     """Convex mixture, realized on Choi states: C = sum_n p_n C_n."""
     c = require_mixture(weights, [op.choi.matrix for op in ops], "operation")
-    return QuantumOperation.from_choi(ChoiState(c, ops[0].dim))
+    return QuantumOperation.from_choi(c)
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -2,14 +2,16 @@
 
 Exit codes: 0 for success or a true predicate, 1 for a false predicate or
 a failed verification suite, 2 for usage and parse errors, an out-of-range
-count or seed, and an invalid QOPCOH_TOL.  Every randomized command takes
-an explicit --seed; reports are byte-identical for a fixed seed and input
-(pass --timing to add a wall-time field).
+count or seed, an invalid QOPCOH_TOL and a request too large for memory.
+Every randomized command takes an explicit --seed; reports are
+byte-identical for a fixed seed and input (pass --timing to add a
+wall-time field).
 
 Click exits 2 on usage errors; the group class ``_Qopcoh`` turns every
-QopcohError, the QOPCOH_TOL check included, into "error: ..." on stderr
-and exit 2.  The report commands return (report, exit code) to the
-``_report`` decorator, which holds --timing and prints and exits.
+QopcohError, the QOPCOH_TOL check included, and every MemoryError into
+"error: ..." on stderr and exit 2.  The report commands return (report,
+exit code) to the ``_report`` decorator, which holds --timing and prints
+and exits.
 """
 
 import functools
@@ -43,8 +45,11 @@ class _Qopcoh(click.Group):
         try:
             return super().invoke(ctx)
         except QopcohError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
+            message = str(exc)
+        except MemoryError as exc:  # numpy cannot allocate the arrays, say for a huge --d
+            message = f"the request is too large for memory: {exc}"
+        click.echo(f"error: {message}", err=True)
+        sys.exit(2)
 
 
 @click.group(cls=_Qopcoh)

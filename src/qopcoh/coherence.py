@@ -44,7 +44,7 @@ from .exceptions import (
     NotPureChoiError,
     WeightError,
 )
-from .linalg import dagger, max_abs, psd_root, require_density, require_unitary, require_weights
+from .linalg import dagger, dimension, max_abs, psd_root, require_density, require_unitary, require_weights
 from .superop import Superoperation, apply as apply_superop, kraus_outcomes
 
 SQRT2_OVER_2 = math.sqrt(2.0) / 2.0
@@ -96,8 +96,9 @@ class Ensemble:
         rows = np.array(self.rows, dtype=complex)
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
-        if rows.ndim != 2 or math.isqrt(rows.shape[1]) ** 2 != rows.shape[1]:
+        if rows.ndim != 2:
             raise DimensionMismatchError(f"ensemble rows must be an (n, d^2) array, got shape {rows.shape}")
+        dimension(rows.shape[1], 2, "ensemble row")
         if not (require_weights(self.weights) > 0).all():
             raise WeightError("ensemble rows must be nonzero")
 

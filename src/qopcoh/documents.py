@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .channel import ChoiState, QuantumOperation
+from .channel import QuantumOperation
 from .exceptions import ParseError, QopcohError
 from .linalg import require_finite
 from .superop import Superoperation
@@ -58,6 +58,11 @@ def _require_fields(doc: dict, fields, what: str) -> None:
         raise ParseError(f"{what} field 'matrices' must be a list")
 
 
+def _require_declared_d(doc: dict, d: int, arrays: str) -> None:
+    if d != doc["d"]:
+        raise ParseError(f"{doc['kind']} document declares d = {doc['d']}, its {arrays} d = {d}")
+
+
 def operation_to_document(op: QuantumOperation, metadata: dict | None = None) -> dict:
     if op.kind == "choi":
         matrices = [matrix_to_json(op.choi.matrix)]
@@ -75,28 +80,24 @@ def operation_to_document(op: QuantumOperation, metadata: dict | None = None) ->
 def operation_from_document(doc: dict) -> QuantumOperation:
     _require_fields(doc, ("schema_version", "kind", "d", "matrices"), "operation document")
     kind = doc["kind"]
-    d = doc["d"]
     matrices = [matrix_from_json(m) for m in doc["matrices"]]
     if not matrices:
         raise ParseError("operation document carries no matrices")
+    if kind not in ("unitary", "kraus", "choi"):
+        raise ParseError(f"unknown operation kind {kind!r}")
+    if kind != "kraus" and len(matrices) != 1:
+        raise ParseError(f"{kind} document needs exactly one matrix")
     try:
         if kind == "unitary":
-            if len(matrices) != 1 or matrices[0].shape != (d, d):
-                raise ParseError("unitary document needs exactly one d x d matrix")
-            return QuantumOperation.from_unitary(matrices[0])
-        if kind == "kraus":
-            if any(m.shape != (d, d) for m in matrices):
-                raise ParseError("kraus document matrices must all be d x d")
-            return QuantumOperation.from_kraus(matrices)
-        if kind == "choi":
-            if len(matrices) != 1 or matrices[0].shape != (d * d, d * d):
-                raise ParseError("choi document needs exactly one d^2 x d^2 matrix")
-            return QuantumOperation.from_choi(ChoiState(matrices[0], d))
-    except ParseError:
-        raise
+            op = QuantumOperation.from_unitary(matrices[0])
+        elif kind == "kraus":
+            op = QuantumOperation.from_kraus(matrices)
+        else:
+            op = QuantumOperation.from_choi(matrices[0])
     except QopcohError as exc:
         raise ParseError(f"invalid {kind} operation: {exc}") from exc
-    raise ParseError(f"unknown operation kind {kind!r}")
+    _require_declared_d(doc, op.dim, "matrices")
+    return op
 
 
 def superoperation_to_document(s: Superoperation, metadata: dict | None = None) -> dict:
@@ -119,30 +120,27 @@ def superoperation_to_document(s: Superoperation, metadata: dict | None = None) 
 def superoperation_from_document(doc: dict) -> Superoperation:
     _require_fields(doc, ("schema_version", "kind", "d"), "superoperation document")
     kind = doc["kind"]
-    d = doc["d"]
     try:
         if kind == "sandwich":
             if "post" not in doc or "pre" not in doc:
                 raise ParseError("sandwich document needs post and pre operation documents")
-            post, pre = operation_from_document(doc["post"]), operation_from_document(doc["pre"])
-            if post.dim != d or pre.dim != d:
-                raise ParseError(f"sandwich document declares d = {d}, its halves {post.dim} and {pre.dim}")
-            return Superoperation.from_sandwich(post, pre)
-        if kind == "kraus_on_choi":
-            ks = [matrix_from_json(m) for m in doc.get("matrices", [])]
-            if any(k.shape != (d * d, d * d) for k in ks):
-                raise ParseError("kraus_on_choi matrices must be d^2 x d^2")
-            return Superoperation.from_kraus_on_choi(ks)
-        if kind == "matrix":
+            halves = operation_from_document(doc["post"]), operation_from_document(doc["pre"])
+            s = Superoperation.from_sandwich(*halves)
+        elif kind == "kraus_on_choi":
+            s = Superoperation.from_kraus_on_choi([matrix_from_json(m) for m in doc.get("matrices", [])])
+        elif kind == "matrix":
             ms = doc.get("matrices", [])
             if len(ms) != 1:
                 raise ParseError("matrix document needs exactly one matrix")
-            return Superoperation.from_matrix(matrix_from_json(ms[0]), d)
+            s = Superoperation.from_matrix(matrix_from_json(ms[0]))
+        else:
+            raise ParseError(f"unknown superoperation kind {kind!r}")
     except ParseError:
         raise
     except QopcohError as exc:
         raise ParseError(f"invalid {kind} superoperation: {exc}") from exc
-    raise ParseError(f"unknown superoperation kind {kind!r}")
+    _require_declared_d(doc, s.d, "halves" if kind == "sandwich" else "matrices")
+    return s
 
 
 def report_document(

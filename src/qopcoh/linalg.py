@@ -192,24 +192,25 @@ def sqrt_psd(a) -> np.ndarray:
     return psd_root(eig)
 
 
-def _require_choi_shape(a: np.ndarray, d: int) -> None:
-    if d < 1:
-        raise DimensionMismatchError(f"dimension must be positive, got {d}")
-    if a.shape != (d * d, d * d):
-        raise DimensionMismatchError(f"expected a {d * d}x{d * d} matrix for d={d}, got {a.shape}")
+def dimension(size: int, power: int, what: str) -> int:
+    """The integer d >= 2 with d**power == size: the one rule that reads d off an array's size."""
+    d = round(size ** (1.0 / power))
+    if not (d >= 2 and d**power == size):
+        raise DimensionMismatchError(f"{what} has size {size}, not d^{power} for any integer d of at least 2")
+    return d
 
 
-def partial_trace_out(a, d: int) -> np.ndarray:
+def partial_trace_out(a) -> np.ndarray:
     """Trace out the second (output) factor: B[i,j] = sum_a A[i*d+a, j*d+a]."""
     m = as_complex_matrix(a)
-    _require_choi_shape(m, d)
+    d = dimension(require_square(m), 2, "partial trace input")
     return np.trace(m.reshape(d, d, d, d), axis1=1, axis2=3)
 
 
-def partial_trace_in(a, d: int) -> np.ndarray:
+def partial_trace_in(a) -> np.ndarray:
     """Trace out the first (input) factor: B[a,b] = sum_i A[i*d+a, i*d+b]."""
     m = as_complex_matrix(a)
-    _require_choi_shape(m, d)
+    d = dimension(require_square(m), 2, "partial trace input")
     return np.trace(m.reshape(d, d, d, d), axis1=0, axis2=2)
 
 

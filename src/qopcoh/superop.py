@@ -33,7 +33,6 @@ from functools import cache, cached_property
 import numpy as np
 
 from .channel import (
-    ChoiState,
     CptpReport,
     QuantumOperation,
     dephasing_operation,
@@ -49,7 +48,17 @@ from .exceptions import (
     InvalidKrausError,
     NoKrausFormError,
 )
-from .linalg import dagger, devectorize, max_abs, require_finite, require_kraus, require_mixture, vectorize
+from .linalg import (
+    dagger,
+    devectorize,
+    dimension,
+    max_abs,
+    require_finite,
+    require_kraus,
+    require_mixture,
+    require_square,
+    vectorize,
+)
 from .tolerances import admission_atol
 
 
@@ -87,19 +96,12 @@ class Superoperation:
     @classmethod
     def from_kraus_on_choi(cls, operators) -> "Superoperation":
         stack = require_kraus(operators, "Choi-space Kraus")
-        n = stack.shape[1]
-        d = int(round(np.sqrt(n)))
-        if d * d != n:
-            raise DimensionMismatchError("Choi-space Kraus operators must be d^2 x d^2")
-        return cls(d, "kraus_on_choi", choi_kraus=stack)
+        return cls(dimension(stack.shape[1], 2, "Choi-space Kraus operator"), "kraus_on_choi", choi_kraus=stack)
 
     @classmethod
-    def from_matrix(cls, matrix, d: int) -> "Superoperation":
-        if d < 1:
-            raise DimensionMismatchError(f"dimension must be positive, got {d}")
+    def from_matrix(cls, matrix) -> "Superoperation":
         m = require_finite(matrix, what="superoperation matrix").copy()
-        if m.shape != (d**4, d**4):
-            raise DimensionMismatchError(f"expected {d**4}x{d**4} matrix, got {m.shape}")
+        d = dimension(require_square(m), 4, "superoperation matrix")
         m.setflags(write=False)
         return cls(d, "matrix", matrix=m)
 
@@ -143,7 +145,7 @@ def apply(s: Superoperation, op: QuantumOperation) -> QuantumOperation:
     if op.dim != s.d:
         raise DimensionMismatchError(f"superoperation dim {s.d} vs operation dim {op.dim}")
     out = devectorize(s.matrix @ vectorize(op.choi.matrix), s.d * s.d)
-    return QuantumOperation.from_choi(ChoiState(out, s.d))
+    return QuantumOperation.from_choi(out)
 
 
 def kraus_outcomes(s: Superoperation, op: QuantumOperation) -> list:
@@ -162,19 +164,19 @@ def kraus_outcomes(s: Superoperation, op: QuantumOperation) -> list:
     if not total <= 1.0 + admission_atol():
         raise InvalidKrausError(f"outcome weights sum to {total:.9f} > 1")
     kept = [(float(p), b / p) for p, b in zip(weights, branches) if p > 1e-12]
-    return [(p, QuantumOperation.from_choi(ChoiState(b, s.d))) for p, b in kept]
+    return [(p, QuantumOperation.from_choi(b)) for p, b in kept]
 
 
 def compose(s1: Superoperation, s2: Superoperation) -> Superoperation:
     """s1 after s2, i.e. (s1 o s2)(Phi) = s1(s2(Phi))."""
     if s1.d != s2.d:
         raise DimensionMismatchError("composed superoperations must share one dimension")
-    return Superoperation.from_matrix(s1.matrix @ s2.matrix, s1.d)
+    return Superoperation.from_matrix(s1.matrix @ s2.matrix)
 
 
 def convex_combine(weights, sops) -> Superoperation:
     m = require_mixture(weights, [s.matrix for s in sops], "superoperation")
-    return Superoperation.from_matrix(m, sops[0].d)
+    return Superoperation.from_matrix(m)
 
 
 CLASS_NAMES = ("miso", "miso_star", "diso")

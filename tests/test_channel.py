@@ -154,7 +154,7 @@ class TestMatrixElements:
         for _ in range(20):
             op = random_cptp(3, int(rng.integers(1, 3)), rng)
             t = 3 * op.choi.matrix.reshape(3, 3, 3, 3).transpose(0, 2, 1, 3)
-            marginal = partial_trace_out(op.choi.matrix, 3)
+            marginal = partial_trace_out(op.choi.matrix)
             for i in range(3):
                 for j in range(3):
                     s = sum(t[i, j, a, a] for a in range(3)) / 3
@@ -167,7 +167,7 @@ class TestPredicates:
         assert is_cptp(identity_operation(2).choi).ok
 
     def test_basis_projector_not_cptp(self):
-        rep = is_cptp(ChoiState(np.diag([1.0, 0, 0, 0]), 2))
+        rep = is_cptp(ChoiState(np.diag([1.0, 0, 0, 0])))
         assert not rep.ok
         assert rep.marginal_residual >= 0.4
 
@@ -246,18 +246,18 @@ class TestRepresentations:
 
     def test_choi_state_validation(self):
         with pytest.raises(InvalidChoiError):
-            ChoiState(np.diag([0.5, 0, 0, 0.4]), 2)  # trace
+            ChoiState(np.diag([0.5, 0, 0, 0.4]))  # trace
         with pytest.raises(InvalidChoiError):
-            ChoiState(np.diag([1.5, 0, 0, -0.5]), 2)  # negativity
+            ChoiState(np.diag([1.5, 0, 0, -0.5]))  # negativity
         bad = IDENTITY_CHOI.copy()
         bad[0, 1] = 1.0
         with pytest.raises(InvalidChoiError):
-            ChoiState(bad, 2)  # hermiticity
+            ChoiState(bad)  # hermiticity
         for entry in (np.nan, np.inf):
             bad = IDENTITY_CHOI.copy()
             bad[1, 1] = entry
             with pytest.raises(InvalidChoiError):
-                ChoiState(bad, 2)  # finiteness
+                ChoiState(bad)  # finiteness
 
     def test_empty_matrices_are_rejected(self):
         # a 0x0 matrix is no operation: each entry point rejects it with its own error type
@@ -267,7 +267,7 @@ class TestRepresentations:
             lambda: require_density(empty),
             lambda: QuantumOperation.from_unitary(empty),
             lambda: QuantumOperation.from_kraus([empty]),
-            lambda: Superoperation.from_matrix(empty, 0),
+            lambda: Superoperation.from_matrix(empty),
         )
         for admit in admissions:
             with pytest.raises(QopcohError):
@@ -288,7 +288,7 @@ class TestRepresentations:
         for d in (2, 3):
             ops = [random_cptp(d, 2, rng) for _ in range(3)]
             p = rng.dirichlet(np.ones(3))
-            expected = ChoiState(sum(w * op.choi.matrix for w, op in zip(p, ops)), d).matrix
+            expected = ChoiState(sum(w * op.choi.matrix for w, op in zip(p, ops))).matrix
             assert np.array_equal(mix_operations(p, ops).choi.matrix, expected)
 
     def test_mix_operations_weight_validation(self):
@@ -376,7 +376,7 @@ class TestKrausStack:
                         continue
                     assert np.array_equal(op.apply(rho), sum(k @ rho @ dagger(k) for k in ks))
                     rows = np.array([k.T.reshape(-1) for k in ks]) / np.sqrt(d)
-                    assert np.array_equal(op.choi.matrix, ChoiState(rows.T @ rows.conj(), d).matrix)
+                    assert np.array_equal(op.choi.matrix, ChoiState(rows.T @ rows.conj()).matrix)
 
     def test_generators_match_per_operator_construction(self):
         for d in (2, 3):

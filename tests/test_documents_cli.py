@@ -157,13 +157,24 @@ class TestCliConvertCheckDephase:
     def test_convert_projector_choi_to_kraus_then_check(self, tmp_path):
         from qopcoh.channel import ChoiState
 
-        op = QuantumOperation.from_choi(ChoiState(np.diag([1.0, 0, 0, 0]), 2))
+        op = QuantumOperation.from_choi(ChoiState(np.diag([1.0, 0, 0, 0])))
         src = write_operation(tmp_path, "proj.json", op)
         out = str(tmp_path / "kraus.json")
         result = self.runner.invoke(main, ["convert", src, "--to", "kraus", "--out", out])
         assert result.exit_code == 0
         check = self.runner.invoke(main, ["check", out, "--predicate", "cptp"])
         assert check.exit_code == 1
+
+    @pytest.mark.parametrize(
+        "op",
+        [hadamard_operation(), dephasing_operation(2), QuantumOperation.from_choi(dephasing_operation(2).choi)],
+        ids=["unitary", "kraus", "choi"],
+    )
+    def test_convert_to_own_kind_writes_the_same_document(self, tmp_path, op):
+        src = write_operation(tmp_path, "op.json", op)
+        result = self.runner.invoke(main, ["convert", src, "--to", op.kind])
+        assert result.exit_code == 0
+        assert result.output == open(src).read()
 
     def test_convert_undefined_exits_2(self, tmp_path):
         src = write_operation(tmp_path, "deph.json", dephasing_operation(2))
@@ -274,6 +285,12 @@ class TestCliMeasure:
         doc = json.loads(result.output)
         assert float(doc["values"]["measure"]) <= 1e-6
         assert doc["values"]["kind"] == "convex_roof_upper_bound"
+
+    def test_qubit_closed_form_method(self, tmp_path):
+        src = write_operation(tmp_path, "h.json", hadamard_operation())
+        result = self.runner.invoke(main, ["measure", src, "--method", "qubit-closed-form"])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["values"] == {"measure": "0.866025403784", "kind": "closed_form_qubit"}
 
     def test_reports_witness_basis_state(self, tmp_path):
         src = write_operation(tmp_path, "id.json", identity_operation(2))
@@ -505,6 +522,17 @@ class TestCliFailsClosed:
         assert result.stderr.startswith("error: ")
         assert result.stdout == ""
 
+    @pytest.mark.parametrize(
+        "args", [["--kind", "unitary", "--d", "100000"], ["--kind", "cptp", "--env-dim", "100000"]], ids=["d", "env-dim"]
+    )
+    def test_request_too_large_for_memory(self, monkeypatch, args):
+        # numpy raises MemoryError when it cannot allocate; no test asks it for that much
+        def unallocatable(d, rng):
+            raise MemoryError(f"Unable to allocate an array of shape ({d}, {d})")
+
+        monkeypatch.setattr("qopcoh.channel.haar_unitary", unallocatable)
+        self.assert_usage_error(["random", *args, "--seed", "1"], message="error: the request is too large for memory")
+
     @pytest.mark.parametrize("d", ["1", "0"])
     def test_random_superop_names_its_dimension(self, d):
         # click rejects the option before any generator runs
@@ -522,7 +550,7 @@ class TestCliFailsClosed:
         self.assert_usage_error(["classify", write_doc(tmp_path, "s3.json", doc)])
 
     def test_nan_superoperation_matrix(self, tmp_path):
-        s = Superoperation.from_matrix(phase_out(2).matrix, 2)
+        s = Superoperation.from_matrix(phase_out(2).matrix)
         doc = superoperation_to_document(s)
         doc["matrices"][0][1][2] = [float("nan"), 0.0]
         path = tmp_path / "nan.json"
@@ -580,7 +608,7 @@ def _valid_documents() -> dict:
         docs[f"choi-d{d}"] = operation_to_document(QuantumOperation.from_choi(cptp.choi))
     docs["sandwich-d2"] = superoperation_to_document(random_sandwich(2, 1))
     docs["kraus_on_choi-d2"] = superoperation_to_document(phase_out(2))
-    docs["matrix-d2"] = superoperation_to_document(Superoperation.from_matrix(phase_out(2).matrix, 2))
+    docs["matrix-d2"] = superoperation_to_document(Superoperation.from_matrix(phase_out(2).matrix))
     return {
         label: (doc, "superoperation" if doc["kind"] in ("sandwich", "kraus_on_choi", "matrix") else "operation")
         for label, doc in docs.items()

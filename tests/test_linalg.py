@@ -1,8 +1,11 @@
-"""Matrix kernel tests: eigensolver, PSD roots, partial traces, vectorization."""
+"""Matrix kernel tests: eigensolver, PSD roots, partial traces, the dimension rule, vectorization."""
 
 import numpy as np
 import pytest
 
+from qopcoh.channel import ChoiState, QuantumOperation, identity_operation, random_cptp
+from qopcoh.coherence import operation_fidelity, uhlmann_fidelity
+from qopcoh.superop import Superoperation, apply, compose, kraus_outcomes, phase_out
 from qopcoh.exceptions import (
     DimensionMismatchError,
     InvalidToleranceError,
@@ -16,6 +19,7 @@ from qopcoh.exceptions import (
 )
 from qopcoh.linalg import (
     devectorize,
+    dimension,
     eig_hermitian,
     max_abs,
     partial_trace_in,
@@ -125,13 +129,13 @@ class TestPartialTraces:
         phi = np.zeros(4, dtype=complex)
         phi[[0, 3]] = 1 / np.sqrt(2)
         p = np.outer(phi, phi.conj())
-        assert max_abs(partial_trace_out(p, 2) - np.eye(2) / 2) <= 1e-12
-        assert max_abs(partial_trace_in(p, 2) - np.eye(2) / 2) <= 1e-12
+        assert max_abs(partial_trace_out(p) - np.eye(2) / 2) <= 1e-12
+        assert max_abs(partial_trace_in(p) - np.eye(2) / 2) <= 1e-12
 
     def test_basis_projector(self):
         a = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
-        assert max_abs(partial_trace_out(a, 2) - np.diag([1.0, 0.0])) <= 1e-12
-        assert max_abs(partial_trace_in(a, 2) - np.diag([1.0, 0.0])) <= 1e-12
+        assert max_abs(partial_trace_out(a) - np.diag([1.0, 0.0])) <= 1e-12
+        assert max_abs(partial_trace_in(a) - np.diag([1.0, 0.0])) <= 1e-12
 
     def test_product_rule(self):
         rng = np.random.default_rng(4)
@@ -139,15 +143,15 @@ class TestPartialTraces:
             a = random_psd(d, rng)
             b = random_psd(d, rng)
             t = np.kron(a, b)
-            assert max_abs(partial_trace_out(t, d) - a * np.trace(b)) <= 1e-10
-            assert max_abs(partial_trace_in(t, d) - b * np.trace(a)) <= 1e-10
+            assert max_abs(partial_trace_out(t) - a * np.trace(b)) <= 1e-10
+            assert max_abs(partial_trace_in(t) - b * np.trace(a)) <= 1e-10
 
     def test_trace_preserved(self):
         rng = np.random.default_rng(5)
         for d in (2, 3):
             a = random_hermitian(d * d, rng)
-            assert abs(np.trace(partial_trace_out(a, d)) - np.trace(a)) <= 1e-10
-            assert abs(np.trace(partial_trace_in(a, d)) - np.trace(a)) <= 1e-10
+            assert abs(np.trace(partial_trace_out(a)) - np.trace(a)) <= 1e-10
+            assert abs(np.trace(partial_trace_in(a)) - np.trace(a)) <= 1e-10
 
     def test_identity_channel_inversion_carries_1_over_d(self):
         # (rho^T (x) I) C_id traced over the input factor returns rho / d
@@ -156,13 +160,69 @@ class TestPartialTraces:
         phi[[0, 3]] = 1 / np.sqrt(2)
         c_id = np.outer(phi, phi.conj())
         lifted = np.kron(rho.T, np.eye(2)) @ c_id
-        assert max_abs(partial_trace_in(lifted, 2) - rho / 2) <= 1e-12
+        assert max_abs(partial_trace_in(lifted) - rho / 2) <= 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            partial_trace_out(np.eye(3), 2)
+            partial_trace_out(np.eye(3))
         with pytest.raises(DimensionMismatchError):
-            partial_trace_in(np.eye(8), 2)
+            partial_trace_in(np.eye(8))
+
+
+class TestDimension:
+    def test_reads_d_off_a_size(self):
+        for d in (2, 3, 7):
+            assert [dimension(d**power, power, "array") for power in (1, 2, 4)] == [d, d, d]
+
+    @pytest.mark.parametrize("size,power", [(0, 1), (1, 1), (1, 2), (3, 2), (8, 2), (1, 4), (15, 4), (17, 4)])
+    def test_rejects_sizes_with_no_d_of_at_least_2(self, size, power):
+        with pytest.raises(DimensionMismatchError, match="at least 2"):
+            dimension(size, power, "array")
+
+    def test_constructors_reject_d_1(self):
+        for admit in (
+            lambda: ChoiState(np.eye(1)),
+            lambda: QuantumOperation.from_unitary(np.eye(1)),
+            lambda: Superoperation.from_matrix(np.eye(1)),
+        ):
+            with pytest.raises(DimensionMismatchError, match="at least 2"):
+                admit()
+
+    def test_from_choi_checks_a_stated_d(self):
+        # the stated d was once ignored when the argument was already a ChoiState
+        for choi in (ChoiState(np.eye(4) / 4), np.eye(4) / 4):
+            assert QuantumOperation.from_choi(choi, 2).dim == 2
+            with pytest.raises(DimensionMismatchError, match="d = 3"):
+                QuantumOperation.from_choi(choi, 3)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: Superoperation.from_sandwich(identity_operation(2), identity_operation(3)),
+            lambda: compose(phase_out(2), phase_out(3)),
+            lambda: apply(phase_out(3), identity_operation(2)),
+            lambda: kraus_outcomes(phase_out(3), identity_operation(2)),
+            lambda: uhlmann_fidelity(np.eye(2) / 2, np.eye(3) / 3),
+            lambda: operation_fidelity(identity_operation(2), identity_operation(3)),
+            lambda: identity_operation(2).apply(np.eye(3) / 3),
+            lambda: random_cptp(2, 2, 1).apply(np.eye(3) / 3),
+            lambda: QuantumOperation.from_choi(np.eye(4) / 4).apply(np.eye(3) / 3),
+        ],
+        ids=[
+            "sandwich-halves",
+            "compose",
+            "apply",
+            "kraus-outcomes",
+            "uhlmann-fidelity",
+            "operation-fidelity",
+            "apply-unitary",
+            "apply-kraus",
+            "apply-choi",
+        ],
+    )
+    def test_operands_of_different_d_are_rejected(self, call):
+        with pytest.raises(DimensionMismatchError):
+            call()
 
 
 class TestVectorization:

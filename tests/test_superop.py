@@ -117,7 +117,7 @@ class TestMatrixRepresentation:
         rng = np.random.default_rng(20)
         sandwich = random_sandwich(2, rng)
         kraus = phase_out(2)
-        matrix_form = Superoperation.from_matrix(sandwich.matrix, 2)
+        matrix_form = Superoperation.from_matrix(sandwich.matrix)
         for s in (sandwich, kraus, matrix_form):
             assert max_abs(probe_matrix(s) - s.matrix) <= 1e-12
 
@@ -270,7 +270,7 @@ class TestKrausOutcomes:
 
     def test_matrix_form_has_no_kraus(self):
         m = np.eye(16)
-        s = Superoperation.from_matrix(m, 2)
+        s = Superoperation.from_matrix(m)
         # the admitted copy is the matrix, held from construction, so reading it builds nothing
         admitted = vars(s)["matrix"]
         assert s.matrix is admitted and admitted is not m and s.choi_kraus is None
@@ -356,7 +356,7 @@ class TestClassify:
         for bad in (np.nan, np.inf):
             m[3, 5] = bad
             with pytest.raises(NotFiniteError):
-                Superoperation.from_matrix(m, 2)
+                Superoperation.from_matrix(m)
             with pytest.raises(InvalidKrausError):
                 Superoperation.from_kraus_on_choi([np.diag([1.0, 1.0, 1.0, bad])])
 
@@ -382,7 +382,7 @@ class TestClassify:
         for _ in range(10):
             s = random_sandwich(2, rng)
             direct = classify(s)
-            rebuilt = classify(Superoperation.from_matrix(s.matrix, 2))
+            rebuilt = classify(Superoperation.from_matrix(s.matrix))
             assert direct == rebuilt
 
     def test_diso_is_conjunction(self):
@@ -432,7 +432,7 @@ class TestCptpPreservation:
     def test_rejects_non_cptp_input(self):
         from qopcoh.channel import ChoiState
 
-        lopsided = QuantumOperation.from_choi(ChoiState(np.diag([1.0, 0, 0, 0]), 2))
+        lopsided = QuantumOperation.from_choi(ChoiState(np.diag([1.0, 0, 0, 0])))
         with pytest.raises(InputNotCPTPError):
             check_cptp_preservation(lopsided)
 
