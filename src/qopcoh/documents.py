@@ -36,8 +36,8 @@ def matrix_from_json(rows) -> np.ndarray:
         raise ParseError(f"malformed matrix: {exc}") from exc
     if a.ndim != 3 or a.shape[2] != 2:
         raise ParseError(f"matrix entries must be [re, im] pairs, got shape {a.shape}")
-    # numpy also reads true, false and numeric strings as numbers
-    if any(isinstance(x, (bool, str)) for row in rows for pair in row for x in pair):
+    # numpy also reads true, false, numeric strings and null (as NaN) as numbers
+    if not {type(x) for r in rows for z in r for x in z} <= {int, float}:
         raise ParseError("matrix entries must be JSON numbers")
     require_finite(a.reshape(a.shape[0], -1), ParseError, "matrix")
     return a[:, :, 0] + 1j * a[:, :, 1]
