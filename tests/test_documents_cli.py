@@ -688,8 +688,7 @@ def _mutate(kind: str, doc: dict, rng) -> bytes:
         value = _pick(rng, ([], "x", 5, None, [dict(obj)]))
         if obj is doc:
             return json.dumps(value).encode()
-        parent = _pick(rng, [o for o in _objects(doc) if obj in (o.get("post"), o.get("pre"))])
-        parent["post" if parent.get("post") is obj else "pre"] = value
+        doc["post" if doc["post"] is obj else "pre"] = value  # only a sandwich nests objects, one level deep
     elif kind == "deep-nesting":
         _set_field_or_entry(doc, rng, DEEP, DEEP)
         return json.dumps(doc).replace(json.dumps(DEEP), "[" * 100_000 + "]" * 100_000).encode()
