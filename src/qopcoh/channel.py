@@ -34,6 +34,7 @@ from .linalg import (
     HermitianEig,
     as_complex_matrix,
     dagger,
+    devectorize,
     dimension,
     max_abs,
     partial_trace_in,
@@ -43,6 +44,7 @@ from .linalg import (
     require_kraus,
     require_mixture,
     require_unitary,
+    vectorize,
 )
 from .tolerances import admission_atol
 
@@ -133,12 +135,13 @@ class QuantumOperation:
     Kraus lists are not restricted to trace non-increasing sets: the
     coherence machinery needs trace-one-Choi operations (e.g. the maximally
     coherent operation, or pure ensemble members such as |00><00|) whose
-    single Kraus operator exceeds the CPTP completeness bound.  Whether a
-    Kraus set is trace preserving is exposed as a property instead.
+    single Kraus operator exceeds the CPTP completeness bound.  Whether an
+    operation is trace preserving is read off its Choi state, by ``is_cptp``
+    alone.
     """
 
     def __init__(self, kind: str, *, kraus=None, choi=None):
-        self.dim = choi.d if kraus is None else dimension(kraus.shape[1], 1, "Kraus operator")
+        self.d = choi.d if kraus is None else dimension(kraus.shape[1], 1, "Kraus operator")
         self.kind = kind
         self._kraus = kraus
         self._choi = choi
@@ -172,15 +175,6 @@ class QuantumOperation:
         """Read-only (n, d, d) Kraus stack; derived by Choi eigendecomposition for kind "choi"."""
         return kraus_from_choi(self._choi) if self._kraus is None else self._kraus
 
-    @property
-    def completeness_residual(self) -> float:
-        ks = self.kraus_operators
-        return max_abs((dagger(ks) @ ks).sum(axis=0) - np.eye(self.dim))
-
-    @property
-    def is_trace_preserving(self) -> bool:
-        return self.completeness_residual <= admission_atol()
-
     @cached_property
     def choi(self) -> ChoiState:
         if self._choi is not None:
@@ -189,11 +183,11 @@ class QuantumOperation:
 
     def apply(self, rho) -> np.ndarray:
         """Act on a density matrix, via Kraus form when available."""
-        r = as_complex_matrix(rho)
-        if r.shape != (self.dim, self.dim):
-            raise DimensionMismatchError(f"state shape {r.shape} does not match dim {self.dim}")
         if self.kind == "choi":
-            return apply_via_choi(self._choi, r)
+            return apply_via_choi(self._choi, rho)
+        r = as_complex_matrix(rho)
+        if r.shape != (self.d, self.d):
+            raise DimensionMismatchError(f"state shape {r.shape} does not match dim {self.d}")
         require_density(r)
         ks = self.kraus_operators
         return (ks @ r @ dagger(ks)).sum(axis=0)
@@ -202,12 +196,11 @@ class QuantumOperation:
 def choi_from_operation(op: QuantumOperation) -> ChoiState:
     """Choi state of an operation given in unitary or Kraus form, as C = V^T conj(V).
 
-    Row n of V is (I (x) K_n)|phi> = K_n^T flattened / sqrt d (entry i*d + a is K_n[a, i]).
+    Row n of V is (I (x) K_n)|phi> = vec(K_n) / sqrt d.
     """
     if op.kind == "choi":
         return op.choi
-    d = op.dim
-    v = op.kraus_operators.transpose(0, 2, 1).reshape(-1, d * d) / np.sqrt(d)
+    v = vectorize(op.kraus_operators) / np.sqrt(op.d)
     try:
         return ChoiState(v.T @ v.conj())
     except InvalidChoiError as exc:
@@ -231,14 +224,14 @@ def apply_via_choi(choi: ChoiState, rho) -> np.ndarray:
 
 
 def kraus_from_choi(choi: ChoiState) -> np.ndarray:
-    """Read-only (n, d, d) stack of Kraus operators sqrt(d lam_n) unvec(e_n)^T from the Choi eigenpairs.
+    """Read-only (n, d, d) stack of Kraus operators sqrt(d lam_n) devec(e_n) from the Choi eigenpairs.
 
     Eigenvalues at or below ``RANK_CUTOFF`` are dropped; the retained
     operators reproduce the channel action up to that truncation.
     """
     d = choi.d
     w, v = choi.support()
-    stack = np.sqrt(d * w)[:, None, None] * v.T.reshape(-1, d, d).transpose(0, 2, 1)
+    stack = np.sqrt(d * w)[:, None, None] * devectorize(v.T, d)
     stack.setflags(write=False)
     return stack
 
@@ -247,7 +240,7 @@ def unitary_from_choi(choi: ChoiState) -> np.ndarray:
     """Recover U when the Choi state is pure and maximally entangled."""
     if not choi.is_pure():
         raise ConversionUndefinedError("Choi state is not pure; no unitary form exists")
-    k = np.sqrt(choi.d) * choi.pure_vector.reshape(choi.d, choi.d).T
+    k = np.sqrt(choi.d) * devectorize(choi.pure_vector, choi.d)
     return require_unitary(k, ConversionUndefinedError, "Kraus operator of the pure Choi state")
 
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 for success or a true predicate, 1 for a false predicate or
 a failed verification suite, 2 for usage and parse errors, an out-of-range
-count or seed, an invalid QOPCOH_TOL and a request too large for memory.
+count or seed, an invalid QOPCOH_TOL, a superoperation whose matrix
+overflows and a request too large for memory.
 Every randomized command takes an explicit --seed; reports are
 byte-identical for a fixed seed and input (pass --timing to add a
 wall-time field).
@@ -19,6 +20,7 @@ import sys
 import time
 
 import click
+import numpy as np
 
 from . import channel, coherence, superop
 from .documents import (
@@ -43,7 +45,9 @@ SEED = click.IntRange(min=0)
 class _Qopcoh(click.Group):
     def invoke(self, ctx):
         try:
-            return super().invoke(ctx)
+            # Overflow to Inf or NaN is reported by the admission that rejects it, not as a warning.
+            with np.errstate(over="ignore", invalid="ignore"):
+                return super().invoke(ctx)
         except QopcohError as exc:
             message = str(exc)
         except MemoryError as exc:  # numpy cannot allocate the arrays, say for a huge --d
@@ -132,7 +136,7 @@ def check(in_file, predicate):
 def dephase(in_file, out):
     """Apply the phase-out superoperation to an operation document."""
     op = _load_operation(in_file)
-    dephased = superop.apply(superop.phase_out(op.dim), op)
+    dephased = superop.apply(superop.phase_out(op.d), op)
     _emit(operation_to_document(dephased, metadata={"source": in_file, "dephased": "true"}), out)
 
 
@@ -172,7 +176,7 @@ def measure(in_file, method, restarts, max_iter, seed):
     result = coherence.measure_coherence(op, method=method, restarts=restarts, max_iter=max_iter, seed=seed)
     if result.witness_index is not None:
         i, a = result.witness_index
-        witness = {"basis_input": int(i), "basis_output": int(a), "linear_index": int(i * op.dim + a)}
+        witness = {"basis_input": int(i), "basis_output": int(a), "linear_index": int(i * op.d + a)}
     else:
         ens = result.ensemble
         witness = {

@@ -13,7 +13,7 @@ form in the Euler angle gamma:
 
     min{ sqrt(1 - cos^2(gamma/2)/2), sqrt(1 - sin^2(gamma/2)/2) },
 
-evaluated here directly from |U[0,0]| and |U[0,1]|.
+evaluated here from the Choi diagonal, whose entries are |U[a,i]|^2 / 2.
 
 Mixed Choi states get the convex-roof extension: minimize the ensemble
 average of the pure measure over all pure-Choi ensembles realizing the
@@ -44,7 +44,17 @@ from .exceptions import (
     NotPureChoiError,
     WeightError,
 )
-from .linalg import dagger, dimension, max_abs, psd_root, require_density, require_unitary, require_weights
+from .linalg import (
+    dagger,
+    devectorize,
+    dimension,
+    max_abs,
+    psd_root,
+    require_density,
+    require_unitary,
+    require_weights,
+    vectorize,
+)
 from .superop import Superoperation, apply as apply_superop, kraus_outcomes
 
 SQRT2_OVER_2 = math.sqrt(2.0) / 2.0
@@ -74,8 +84,8 @@ def fidelity_from_roots(root_rho: np.ndarray, root_sigma: np.ndarray) -> float:
 
 def operation_fidelity(a: QuantumOperation, b: QuantumOperation) -> float:
     """Fidelity of two operations = Uhlmann fidelity of their Choi states, from their held roots."""
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"operation dims differ: {a.dim} vs {b.dim}")
+    if a.d != b.d:
+        raise DimensionMismatchError(f"operation dims differ: {a.d} vs {b.d}")
     return fidelity_from_roots(a.choi.root, b.choi.root)
 
 
@@ -171,14 +181,13 @@ def mf_pure(op: QuantumOperation) -> MeasureResult:
 def mf_single_qubit_unitary(u) -> MeasureResult:
     """Closed-form measure of a single-qubit unitary.
 
-    Works off |U[0,0]| = |cos(gamma/2)| and |U[0,1]| = |sin(gamma/2)|
-    directly; agrees with mf_pure on the Choi state to 1e-10.
+    Works off the Choi diagonal |vec(U)|^2 / 2, whose entries 0 and 2 are
+    |U[0,0]|^2/2 = cos^2(gamma/2)/2 and |U[0,1]|^2/2 = sin^2(gamma/2)/2;
+    agrees with mf_pure on the Choi state to 1e-10.
     """
-    m = require_unitary(u, dim=2)
-    am2 = abs(m[0, 0]) ** 2
-    bm2 = abs(m[0, 1]) ** 2
-    value = min(math.sqrt(max(1.0 - am2 / 2.0, 0.0)), math.sqrt(max(1.0 - bm2 / 2.0, 0.0)))
-    diag = np.array([abs(m[0, 0]) ** 2, abs(m[1, 0]) ** 2, abs(m[0, 1]) ** 2, abs(m[1, 1]) ** 2]) / 2
+    # Python's abs per entry: numpy's vectorized complex abs can differ in the last bit.
+    diag = np.array([abs(z) ** 2 for z in vectorize(require_unitary(u, dim=2))]) / 2
+    value = min(math.sqrt(max(1.0 - diag[0], 0.0)), math.sqrt(max(1.0 - diag[2], 0.0)))
     witness = divmod(_argmax_smallest_index(diag), 2)
     return MeasureResult(value=value, kind="closed_form_qubit", witness_index=witness)
 
@@ -194,7 +203,7 @@ def max_coherent_operation(thetas) -> QuantumOperation:
     th = np.asarray(thetas, dtype=float)
     if th.size != 4:
         raise DimensionMismatchError(f"the maximally coherent operation needs four angles, got {th.size}")
-    k = np.exp(1j * th.reshape(2, 2).T) / np.sqrt(2.0)
+    k = devectorize(np.exp(1j * th.reshape(-1)), 2) / np.sqrt(2.0)
     return QuantumOperation.from_kraus([k])
 
 
@@ -362,7 +371,7 @@ def measure_coherence(
     The roof is randomized, so it runs only with an explicit seed.
     """
     if method == "auto":
-        if op.kind == "unitary" and op.dim == 2:
+        if op.kind == "unitary" and op.d == 2:
             return mf_single_qubit_unitary(op.unitary)
         if op.choi.is_pure():
             return mf_pure(op)
@@ -372,7 +381,7 @@ def measure_coherence(
         except NotPureChoiError as exc:
             raise MethodInapplicableError(str(exc)) from exc
     elif method == "qubit-closed-form":
-        if op.kind != "unitary" or op.dim != 2:
+        if op.kind != "unitary" or op.d != 2:
             raise MethodInapplicableError("closed form needs a 2x2 unitary operation")
         return mf_single_qubit_unitary(op.unitary)
     elif method != "convex-roof":

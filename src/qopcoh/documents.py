@@ -71,7 +71,7 @@ def operation_to_document(op: QuantumOperation, metadata: dict | None = None) ->
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": op.kind,
-        "d": op.dim,
+        "d": op.d,
         "matrices": matrices,
         "metadata": dict(metadata or {}),
     }
@@ -96,7 +96,7 @@ def operation_from_document(doc: dict) -> QuantumOperation:
             op = QuantumOperation.from_choi(matrices[0])
     except QopcohError as exc:
         raise ParseError(f"invalid {kind} operation: {exc}") from exc
-    _require_declared_d(doc, op.dim, "matrices")
+    _require_declared_d(doc, op.d, "matrices")
     return op
 
 

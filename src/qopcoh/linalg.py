@@ -48,11 +48,12 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def require_square(a: np.ndarray) -> int:
-    if a.shape[0] != a.shape[1]:
-        raise NotSquareError(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
-    if a.shape[0] == 0:
+    """Admit a non-empty square matrix, or a stack of them on the last two axes; return its side."""
+    if a.shape[-2] != a.shape[-1]:
+        raise NotSquareError(f"matrix is {a.shape[-2]}x{a.shape[-1]}, not square")
+    if a.shape[-1] == 0:
         raise DimensionMismatchError("matrix is empty")
-    return a.shape[0]
+    return a.shape[-1]
 
 
 class HermitianEig(NamedTuple):
@@ -215,15 +216,21 @@ def partial_trace_in(a) -> np.ndarray:
 
 
 def vectorize(a) -> np.ndarray:
-    """Column-stack a square matrix into a vector."""
-    m = as_complex_matrix(a)
+    """Column-stack a square matrix, or each matrix of a stack (..., n, n), into (..., n^2).
+
+    Entry i*n + a is A[a, i].  This is the one place that spells the
+    Kraus<->Choi-row rule (I (x) K)|phi> = vec(K)/sqrt d.
+    """
+    m = np.asarray(a, dtype=complex)
+    if m.ndim < 2:
+        raise DimensionMismatchError(f"expected a matrix or a stack of matrices, got ndim={m.ndim}")
     require_square(m)
-    return m.T.reshape(-1)
+    return np.swapaxes(m, -1, -2).reshape(*m.shape[:-2], -1)
 
 
 def devectorize(v, dim: int) -> np.ndarray:
-    """Inverse of vectorize; v must have length dim**2."""
-    vec = np.asarray(v, dtype=complex).reshape(-1)
-    if vec.size != dim * dim:
-        raise DimensionMismatchError(f"vector of length {vec.size} cannot fill a {dim}x{dim} matrix")
-    return vec.reshape(dim, dim).T
+    """Inverse of vectorize on the last axis, which must have length dim**2."""
+    vec = np.asarray(v, dtype=complex)
+    if vec.shape[-1:] != (dim * dim,):
+        raise DimensionMismatchError(f"vector of shape {vec.shape} cannot fill a {dim}x{dim} matrix")
+    return np.swapaxes(vec.reshape(*vec.shape[:-1], dim, dim), -1, -2)

@@ -84,14 +84,14 @@ class Superoperation:
         The stack is one broadcast product, bit-equal to the Kronecker
         products (each entry is one product b*a).
         """
-        if post.dim != pre.dim:
+        if post.d != pre.d:
             raise DimensionMismatchError("sandwich halves must share one dimension")
         a = post.kraus_operators
         bt = pre.kraus_operators.transpose(0, 2, 1)
-        dd = post.dim * post.dim
+        dd = post.d * post.d
         stack = (bt[None, :, :, None, :, None] * a[:, None, None, :, None, :]).reshape(-1, dd, dd)
         stack.setflags(write=False)
-        return cls(post.dim, "sandwich", post=post, pre=pre, choi_kraus=stack)
+        return cls(post.d, "sandwich", post=post, pre=pre, choi_kraus=stack)
 
     @classmethod
     def from_kraus_on_choi(cls, operators) -> "Superoperation":
@@ -111,12 +111,14 @@ class Superoperation:
 
         sum_n conj(K_n) (x) K_n in one product: G = conj(K)^T K over the flattened
         stack holds G[(r,c),(s,t)], reordered to the Kronecker layout [(r,s),(c,t)].
+        Finite Kraus entries can still overflow this product, so it is admitted
+        like a matrix given directly.
         """
         dd = self.d * self.d
         ks = self.choi_kraus.reshape(-1, dd * dd)
         m = (ks.conj().T @ ks).reshape(dd, dd, dd, dd).transpose(0, 2, 1, 3).reshape(dd * dd, dd * dd)
         m.setflags(write=False)
-        return m
+        return require_finite(m, what="superoperation matrix")
 
 
 @cache
@@ -142,8 +144,8 @@ def phase_out_sandwich(d: int) -> Superoperation:
 
 def apply(s: Superoperation, op: QuantumOperation) -> QuantumOperation:
     """Transform an operation; no trace renormalization is applied."""
-    if op.dim != s.d:
-        raise DimensionMismatchError(f"superoperation dim {s.d} vs operation dim {op.dim}")
+    if op.d != s.d:
+        raise DimensionMismatchError(f"superoperation dim {s.d} vs operation dim {op.d}")
     out = devectorize(s.matrix @ vectorize(op.choi.matrix), s.d * s.d)
     return QuantumOperation.from_choi(out)
 
@@ -156,8 +158,8 @@ def kraus_outcomes(s: Superoperation, op: QuantumOperation) -> list:
     """
     if s.choi_kraus is None:
         raise NoKrausFormError("superoperation has no operator-sum form")
-    if op.dim != s.d:
-        raise DimensionMismatchError(f"superoperation dim {s.d} vs operation dim {op.dim}")
+    if op.d != s.d:
+        raise DimensionMismatchError(f"superoperation dim {s.d} vs operation dim {op.d}")
     branches = s.choi_kraus @ op.choi.matrix @ dagger(s.choi_kraus)
     weights = np.trace(branches, axis1=1, axis2=2).real
     total = float(weights.sum())
@@ -270,7 +272,7 @@ def check_cptp_preservation(op: QuantumOperation) -> CptpReport:
             f"input is not CPTP (min eig {base.min_eigenvalue:.3e}, "
             f"marginal residual {base.marginal_residual:.3e})"
         )
-    return is_cptp(apply(phase_out(op.dim), op).choi)
+    return is_cptp(apply(phase_out(op.d), op).choi)
 
 
 # ---------------------------------------------------------------------------

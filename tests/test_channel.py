@@ -1,14 +1,19 @@
 """Choi construction, inversion, predicates, and random generators."""
 
+import math
+
 import numpy as np
 import pytest
 
 from qopcoh.channel import (
+    HADAMARD,
+    PAULI_X,
     ChoiState,
     QuantumOperation,
     apply_via_choi,
     choi_from_operation,
     dephasing_operation,
+    haar_unitary,
     hadamard_operation,
     identity_operation,
     is_cptp,
@@ -23,6 +28,7 @@ from qopcoh.channel import (
     random_unitary,
     unitary_from_choi,
 )
+from qopcoh.coherence import max_coherent_operation, mf_single_qubit_unitary
 from qopcoh.exceptions import (
     DimensionMismatchError,
     InvalidChoiError,
@@ -300,9 +306,10 @@ class TestRepresentations:
             mix_operations([0.5, 0.5], [identity_operation(2), identity_operation(3)])
 
     def test_trace_preserving_flag(self):
-        assert identity_operation(2).is_trace_preserving
-        assert random_cptp(2, 3, 1).is_trace_preserving
-        assert not QuantumOperation.from_kraus([0.5 * np.eye(2)]).is_trace_preserving
+        assert is_cptp(identity_operation(2).choi).ok
+        assert is_cptp(random_cptp(2, 3, 1).choi).ok
+        with pytest.raises(InvalidKrausError):  # Choi trace 0.25: no Choi state, so no verdict
+            QuantumOperation.from_kraus([0.5 * np.eye(2)]).choi
 
     def test_pauli_x_choi_support(self):
         c = pauli_x_operation().choi.matrix
@@ -349,7 +356,7 @@ class TestKrausStack:
         stack = np.array([np.eye(2), np.diag([1.0, -1.0])], dtype=complex) / np.sqrt(2)
         op = QuantumOperation.from_kraus(stack)
         stack[1] = 0.0
-        assert op.is_trace_preserving
+        assert is_cptp(op.choi).ok
         assert max_abs(op.choi.matrix - DEPHASING_CHOI) <= 1e-15
 
     def test_admitted_arrays_are_read_only(self):
@@ -370,8 +377,6 @@ class TestKrausStack:
                     w, v = op.choi.support()
                     derived = [np.sqrt(d * lam) * vec.reshape(d, d).T for lam, vec in zip(w, v.T)]
                     assert np.array_equal(kraus_from_choi(op.choi), np.array(derived))
-                    residual = max_abs(sum(dagger(k) @ k for k in ks) - np.eye(d))
-                    assert op.completeness_residual == residual
                     if op.kind == "choi":
                         continue
                     assert np.array_equal(op.apply(rho), sum(k @ rho @ dagger(k) for k in ks))
@@ -391,3 +396,34 @@ class TestKrausStack:
             t /= t.sum(axis=0, keepdims=True)
             inc = [np.sqrt(t[a, i]) * np.outer(eye[a], eye[i]) for i in range(d) for a in range(d)]
             assert np.array_equal(random_incoherent_cptp(d, 57).kraus_operators, np.array(inc))
+
+
+def test_conversions_equal_their_former_spellings():
+    """Every Kraus<->Choi-row conversion, now spelled through vectorize/devectorize, is bit-equal
+    to the hand-written transposes it replaced, kept here as the independent reference."""
+    for d in (2, 3, 4):
+        rng = np.random.default_rng(60 + d)
+        for _ in range(5):
+            for op in three_kinds(d, rng) + [random_incoherent_cptp(d, rng)]:
+                ks = op.kraus_operators
+                v = ks.transpose(0, 2, 1).reshape(-1, d * d) / np.sqrt(d)
+                if op.kind != "choi":
+                    assert np.array_equal(choi_from_operation(op).matrix, ChoiState(v.T @ v.conj()).matrix)
+                w, e = op.choi.support()
+                former = np.sqrt(d * w)[:, None, None] * e.T.reshape(-1, d, d).transpose(0, 2, 1)
+                assert np.array_equal(kraus_from_choi(op.choi), former)
+            choi = random_unitary(d, rng).choi
+            former = np.sqrt(d) * choi.pure_vector.reshape(d, d).T
+            assert np.array_equal(unitary_from_choi(choi), former)
+    rng = np.random.default_rng(64)
+    for shape in ((4,), (2, 2)):
+        th = rng.uniform(-np.pi, np.pi, size=shape)
+        former = np.exp(1j * th.reshape(2, 2).T) / np.sqrt(2.0)
+        assert np.array_equal(max_coherent_operation(th).kraus_operators[0], former)
+    for m in [np.eye(2), PAULI_X, HADAMARD] + [haar_unitary(2, rng) for _ in range(2000)]:
+        am2, bm2 = abs(m[0, 0]) ** 2, abs(m[0, 1]) ** 2
+        value = min(math.sqrt(max(1.0 - am2 / 2.0, 0.0)), math.sqrt(max(1.0 - bm2 / 2.0, 0.0)))
+        diag = np.array([abs(m[0, 0]) ** 2, abs(m[1, 0]) ** 2, abs(m[0, 1]) ** 2, abs(m[1, 1]) ** 2]) / 2
+        result = mf_single_qubit_unitary(m)
+        assert result.value == value
+        assert result.witness_index == divmod(int(np.nonzero(diag >= diag.max() - 1e-12)[0][0]), 2)

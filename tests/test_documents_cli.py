@@ -389,7 +389,7 @@ class TestCliVerifyAndRandom:
         assert result.exit_code == 0
         op = operation_from_document(load_document(out))
         assert op.kind == "unitary"
-        assert op.dim == 3
+        assert op.d == 3
 
 
 def _rejected_input(command, tmp_path):
@@ -667,6 +667,9 @@ def _mutate(kind: str, doc: dict, rng) -> bytes:
     elif kind == "non-finite":
         value = _pick(rng, (float("nan"), float("inf"), float("-inf")))
         _set_field_or_entry(doc, rng, value, value, fields=("d",))
+    elif kind == "huge-finite":
+        pair, c = _entry(doc, rng)
+        pair[c] = _pick(rng, (1e200, -1e200))
     elif kind == "ragged":
         pair, c = _entry(doc, rng)
         del pair[c]
@@ -714,6 +717,7 @@ MUTATIONS = (
     "non-object",
     "deep-nesting",
     "non-utf8",
+    "huge-finite",
 )
 
 
@@ -734,6 +738,8 @@ def test_mutation_battery(tmp_path):
             result = runner.invoke(main, [command, str(path), *options])
             assert result.exit_code in (0, 1), f"{command} {label}: {result.stderr}"
         for kind in MUTATIONS:
+            if kind == "huge-finite" and valid["kind"] == "matrix":
+                continue  # any finite matrix is a valid linear map, so classify rightly exits 0
             for draw in range(3):
                 path = tmp_path / f"{label}-{kind}-{draw}.json"
                 path.write_bytes(_mutate(kind, json.loads(json.dumps(valid)), rng))

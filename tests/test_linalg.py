@@ -191,7 +191,7 @@ class TestDimension:
     def test_from_choi_checks_a_stated_d(self):
         # the stated d was once ignored when the argument was already a ChoiState
         for choi in (ChoiState(np.eye(4) / 4), np.eye(4) / 4):
-            assert QuantumOperation.from_choi(choi, 2).dim == 2
+            assert QuantumOperation.from_choi(choi, 2).d == 2
             with pytest.raises(DimensionMismatchError, match="d = 3"):
                 QuantumOperation.from_choi(choi, 3)
 
@@ -253,6 +253,28 @@ class TestVectorization:
     def test_devectorize_length_check(self):
         with pytest.raises(DimensionMismatchError):
             devectorize(np.zeros(5), 2)
+        with pytest.raises(DimensionMismatchError):
+            devectorize(np.zeros((4, 5)), 2)  # the last axis is the vector, whatever the total size
+
+    def test_stack_equals_per_matrix_loop(self):
+        rng = np.random.default_rng(9)
+        for shape in ((5, 3, 3), (2, 4, 2, 2)):
+            stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            vecs = vectorize(stack)
+            assert vecs.shape == shape[:-2] + (shape[-1] ** 2,)
+            for index in np.ndindex(*shape[:-2]):
+                assert np.array_equal(vecs[index], vectorize(stack[index]))
+            assert np.array_equal(devectorize(vecs, shape[-1]), stack)
+
+    def test_vectorize_rejects_what_is_not_a_square_matrix(self):
+        for bad, error in (
+            (np.zeros(4), DimensionMismatchError),
+            (np.zeros((2, 3)), NotSquareError),
+            (np.zeros((5, 2, 3)), NotSquareError),
+            (np.zeros((0, 0)), DimensionMismatchError),
+        ):
+            with pytest.raises(error):
+                vectorize(bad)
 
 
 NON_FINITE = (np.nan, np.inf, -np.inf)

@@ -220,7 +220,7 @@ class TestBatchedBuilds:
 
         monkeypatch.setattr(np, "stack", counting_stack)
         for op in ops:
-            op.choi, op.apply(rho), op.completeness_residual, kraus_from_choi(op.choi)
+            op.choi, op.apply(rho), kraus_from_choi(op.choi)
         Superoperation.from_sandwich(post, ops[2]).matrix
         assert calls == []
         QuantumOperation.from_kraus([np.eye(2)])  # admission is where a Kraus set is stacked
