@@ -254,7 +254,7 @@ class TestVectorization:
         with pytest.raises(DimensionMismatchError):
             devectorize(np.zeros(5), 2)
         with pytest.raises(DimensionMismatchError):
-            devectorize(np.zeros((4, 5)), 2)  # the last axis is the vector, whatever the total size
+            devectorize(np.zeros((2, 2)), 2)  # four entries, but the vector is the last axis, of length 2
 
     def test_stack_equals_per_matrix_loop(self):
         rng = np.random.default_rng(9)

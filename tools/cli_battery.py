@@ -19,7 +19,10 @@ also reads the two document kinds ``random`` never writes: the d=2
 projectors |ia><ia| as a ``kraus_on_choi`` document, a fixed 16x16
 ``matrix`` document, and the same matrix with one NaN entry, which must
 exit 2.  It also writes seven documents whose arrays do not fit the d = 2
-they declare; ``check`` or ``classify`` must reject each with exit 2.
+they declare; ``check`` or ``classify`` must reject each with exit 2.  Last
+come two superoperation documents with finite entries of 1e200, whose
+matrix overflows: ``classify`` must reject each with exit 2.  That makes 92
+commands.
 """
 
 import hashlib
@@ -83,6 +86,7 @@ def commands() -> list:
     # arrays that do not fit the declared d
     for name, doc in malformed_documents().items():
         battery.append(f"check {name}.json --predicate cptp" if doc["kind"] in OPERATION_DOCUMENT_KINDS else f"classify {name}.json")
+    battery += [f"classify {name}.json" for name in overflow_documents()]
     return battery
 
 
@@ -119,6 +123,15 @@ def malformed_documents() -> dict:
     }
 
 
+def overflow_documents() -> dict:
+    """Hand-written d = 2 superoperation documents whose finite entries overflow the matrix, by file stem."""
+    half = _document("kraus", [1e200 * np.outer(e, np.eye(2)[0]) for e in np.eye(2)])
+    return {
+        "kraus-on-choi-overflow": _document("kraus_on_choi", [1e200 * np.eye(4)]),
+        "sandwich-overflow": {"schema_version": "1", "kind": "sandwich", "d": 2, "post": half, "pre": half},
+    }
+
+
 def run(command: str, src: Path, workdir: Path) -> str:
     args = command.split()
     out = workdir / args[args.index("--out") + 1] if "--out" in args else None
@@ -146,7 +159,7 @@ def main(argv: list) -> int:
         return 2
     workdir = Path(argv[1]).resolve()
     workdir.mkdir(parents=True, exist_ok=True)
-    for name, doc in {**superoperation_documents(), **malformed_documents()}.items():
+    for name, doc in {**superoperation_documents(), **malformed_documents(), **overflow_documents()}.items():
         (workdir / f"{name}.json").write_text(json.dumps(doc, indent=2))
     for command in commands():
         print(run(command, src, workdir), flush=True)
