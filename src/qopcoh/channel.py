@@ -37,6 +37,7 @@ from .linalg import (
     devectorize,
     dimension,
     max_abs,
+    overflow_rejected,
     partial_trace_in,
     partial_trace_out,
     psd_root,
@@ -187,12 +188,13 @@ class QuantumOperation:
             return apply_via_choi(self._choi, rho)
         r = as_complex_matrix(rho)
         if r.shape != (self.d, self.d):
-            raise DimensionMismatchError(f"state shape {r.shape} does not match dim {self.d}")
+            raise DimensionMismatchError(f"state shape {r.shape} does not match d={self.d}")
         require_density(r)
         ks = self.kraus_operators
         return (ks @ r @ dagger(ks)).sum(axis=0)
 
 
+@overflow_rejected
 def choi_from_operation(op: QuantumOperation) -> ChoiState:
     """Choi state of an operation given in unitary or Kraus form, as C = V^T conj(V).
 

@@ -53,6 +53,7 @@ from .linalg import (
     devectorize,
     dimension,
     max_abs,
+    overflow_rejected,
     require_finite,
     require_kraus,
     require_mixture,
@@ -106,6 +107,7 @@ class Superoperation:
         return cls(d, "matrix", matrix=m)
 
     @cached_property
+    @overflow_rejected
     def matrix(self) -> np.ndarray:
         """Canonical, read-only d^4 x d^4 matrix, acting on column-stacked Choi matrices.
 

@@ -1,6 +1,7 @@
 """Choi construction, inversion, predicates, and random generators."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,10 @@ class TestApplyViaChoi:
             apply_via_choi(choi, np.array([[0.5, 0.5], [-0.5, 0.5]]))
         with pytest.raises(DimensionMismatchError):
             apply_via_choi(choi, np.eye(3) / 3)
+        # one wording of a wrong state shape, whatever the operation's kind
+        for op in (QuantumOperation.from_unitary(np.eye(2)), QuantumOperation.from_choi(np.eye(4) / 4)):
+            with pytest.raises(DimensionMismatchError, match=r"^state shape \(3, 3\) does not match d=2$"):
+                op.apply(np.eye(3) / 3)
         for bad in (np.nan, np.inf):
             with pytest.raises(NotDensityMatrixError):
                 apply_via_choi(choi, np.diag([bad, 0.5]))
@@ -244,11 +249,21 @@ class TestRepresentations:
         for bad in (np.inf, np.nan):
             with pytest.raises(NotUnitaryError):
                 QuantumOperation.from_unitary(np.array([[bad, 0], [0, 1]], dtype=complex))
+        # finite entries whose product overflows are rejected, not warned about
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotUnitaryError):
+                QuantumOperation.from_unitary(np.diag([1e200, 1]))
 
     def test_from_kraus_rejects_non_finite(self):
         for bad in (np.inf, np.nan):
             with pytest.raises(InvalidKrausError):
                 QuantumOperation.from_kraus([np.eye(2), np.diag([bad, 0.0])])
+        # a finite set whose Choi matrix overflows is rejected when the Choi state is formed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidKrausError):
+                QuantumOperation.from_kraus([np.diag([1e200, 1])]).choi
 
     def test_choi_state_validation(self):
         with pytest.raises(InvalidChoiError):

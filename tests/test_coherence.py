@@ -25,10 +25,12 @@ from qopcoh.channel import (
     rng_from,
 )
 from qopcoh.coherence import (
+    AXIOM_SLACK,
     SQRT2_OVER_2,
     SQRT3_OVER_2,
     Ensemble,
     MeasureResult,
+    incoherent_fidelity_ascent,
     max_coherent_operation,
     measure_coherence,
     mf_convex_roof,
@@ -39,11 +41,13 @@ from qopcoh.coherence import (
     verify_axioms,
 )
 from qopcoh.coherence import (
+    _measure_value,
     _partition_projectors,
     _polar,
     _random_isometries,
     _row_terms,
     _two_branch_choi_kraus,
+    _uhlmann_lane,
     _value_and_direction,
 )
 from qopcoh.exceptions import (
@@ -414,6 +418,8 @@ def _reference_gradient(v, a_t):
 def _reference_roof(op, restarts, max_iter, seed, stall=True):
     """Reference descent that takes psi = v a_t and the direction afresh on every step.
 
+    Its last lane is the Uhlmann lane wherever the estimator has one.
+
     With ``stall`` it ends once the least lane value has gained no more
     than 1e-12 of itself over the last 15 steps; without, it runs the full
     length.  Returns (value, history, weights, steps taken).
@@ -426,6 +432,11 @@ def _reference_roof(op, restarts, max_iter, seed, stall=True):
     v = np.empty((restarts, m, r), dtype=complex)
     v[0] = np.eye(m, r)
     v[1:] = _random_isometries(restarts - 1, m, r, rng)
+    if restarts >= 2 and r >= op.d:
+        # the Uhlmann lane: rows sqrt(C) W|k> of the ascent's unitary, padded with zero rows
+        w = incoherent_fidelity_ascent((vecs * np.sqrt(lam)) @ dagger(vecs), 8)[2]
+        v[-1] = 0.0
+        v[-1, : w.shape[0]] = w.T @ vecs.conj()
     values = _row_terms(v @ a_t).sum(axis=1)
     step = np.full(restarts, 0.5)
     steps = 0
@@ -488,6 +499,98 @@ class TestCarriedDescent:
             mf_convex_roof(op, restarts=6, max_iter=600, seed=n)
             assert len(steps) == _reference_roof(op, 6, 600, n)[3]
             assert len(passes) == 1 + len(steps)
+
+
+def _grid_fidelity(root, rounds=20):
+    """Largest F(rho, diag s) on a simplex grid of step 1/24 at d=2, then on finer grids around the best point."""
+    n = 24
+    grid = np.array([(i, j, k, n - i - j - k) for i in range(n + 1) for j in range(n + 1 - i) for k in range(n + 1 - i - j)])
+    points, h = grid / n, 1.0 / n
+    offsets = np.stack(np.meshgrid(*[np.arange(-3, 4)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    best = None
+    for _ in range(rounds):
+        points = points[(points >= 0).all(axis=1)]
+        f = np.linalg.svd(root * np.sqrt(points)[:, None, :], compute_uv=False).sum(axis=1) ** 2
+        best = points[np.argmax(f)], float(f.max())
+        h /= 2
+        steps = h * np.concatenate([offsets, -offsets.sum(axis=1, keepdims=True)], axis=1)
+        points = best[0] + steps
+    return best[1]
+
+
+class TestGeometricBound:
+    def test_ascent_reaches_the_grid_maximum_at_d2(self):
+        rng = np.random.default_rng(26)
+        for n in range(8):
+            op = random_cptp(2, 2 + n % 3, rng) if n % 2 else mix_operations(
+                [0.3, 0.7], [random_unitary(2, rng), random_unitary(2, rng)]
+            )
+            f, s, w = incoherent_fidelity_ascent(op.choi.root, 1000)
+            # F, s and W belong together: F is the fidelity with diag(s), attained by W
+            assert abs(f - uhlmann_fidelity(op.choi.matrix, np.diag(s))) <= 1e-12
+            assert abs(f - float(np.real(np.trace(dagger(w) @ op.choi.root * np.sqrt(s)))) ** 2) <= 1e-12
+            assert abs(f - _grid_fidelity(op.choi.root)) <= 1e-6
+
+    def test_ascent_never_lowers_the_fidelity(self):
+        rng = np.random.default_rng(27)
+        for n in range(20):
+            root = random_cptp(2 + n % 2, 3, rng).choi.root
+            fs = [incoherent_fidelity_ascent(root, steps)[0] for steps in range(8)]
+            assert all(b >= a - 1e-15 for a, b in zip(fs, fs[1:]))
+
+    def test_uhlmann_rows_reconstruct_the_choi_state(self):
+        rng = np.random.default_rng(28)
+        for n in range(40):
+            d = 2 + n % 2
+            lam, vecs = random_cptp(d, d + n % 3, rng).choi.support()
+            r = lam.size
+            a_t = (vecs * np.sqrt(lam)).T
+            f, v = _uhlmann_lane(vecs, a_t, r * r)
+            assert max_abs(dagger(v) @ v - np.eye(r)) <= 1e-12
+            ens = Ensemble((v @ a_t)[: d * d])
+            assert max_abs(ens.reconstruction - (vecs * lam) @ dagger(vecs)) <= 1e-12
+            # and the lane starts at or below the bound its F gives
+            assert _row_terms(ens.rows).sum() <= math.sqrt(1.0 - f) + 1e-12
+
+    def test_descent_ends_at_or_below_the_lane_bound(self):
+        # the lane starts at or below sqrt(1 - F) and a lane only moves down
+        rng = np.random.default_rng(29)
+        present = 0
+        for n in range(48):
+            d = 2 + n % 2
+            if n % 3:
+                op = random_cptp(d, 2 + n % 4, rng)
+            else:
+                op = mix_operations([0.4, 0.6], [random_unitary(d, rng), random_unitary(d, rng)])
+            lam, vecs = op.choi.support()
+            if lam.size < d:
+                continue  # r^2 < d^2: no lane
+            present += 1
+            f, _ = _uhlmann_lane(vecs, (vecs * np.sqrt(lam)).T, lam.size**2)
+            res = mf_convex_roof(op, restarts=6, max_iter=600, seed=n)
+            assert res.value <= math.sqrt(1.0 - f) + 1e-12
+        assert present >= 30
+
+    def test_gate_settles_checks_without_the_descent(self, monkeypatch):
+        # the gate returns the bound whenever it settles the check, draws the
+        # descent's seed either way, and the descent runs on that seed otherwise
+        rng = np.random.default_rng(30)
+        ops = [random_cptp(2, 3, rng), mix_operations([0.5, 0.5], [random_unitary(2, rng), random_unitary(2, rng)])]
+        roofs = []
+        monkeypatch.setattr(coherence, "mf_convex_roof", lambda *a, **k: roofs.append(k["seed"]) or mf_convex_roof(*a, **k))
+        for op in ops:
+            ceiling = math.sqrt(1.0 - incoherent_fidelity_ascent(op.choi.root, 1000)[0])
+            for rhs in (ceiling, ceiling + 0.1):
+                gate, twin = np.random.default_rng(31), np.random.default_rng(31)
+                value, exact = _measure_value(op, gate, rhs)
+                twin.integers(2**32)
+                assert not exact and value <= rhs + AXIOM_SLACK
+                assert gate.integers(2**32) == twin.integers(2**32)
+            assert not roofs
+            gate = np.random.default_rng(32)
+            value, _ = _measure_value(op, gate, ceiling - 0.01)
+            assert roofs == [int(np.random.default_rng(32).integers(2**32))]
+            assert value == mf_convex_roof(op, restarts=6, max_iter=600, seed=roofs.pop()).value
 
 
 class TestDispatch:

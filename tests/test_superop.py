@@ -1,5 +1,7 @@
 """Phase-out, matrix representations, classification, and closure."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -359,6 +361,11 @@ class TestClassify:
                 Superoperation.from_matrix(m)
             with pytest.raises(InvalidKrausError):
                 Superoperation.from_kraus_on_choi([np.diag([1.0, 1.0, 1.0, bad])])
+        # finite Kraus entries whose matrix overflows are rejected, not warned about
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotFiniteError):
+                classify(Superoperation.from_kraus_on_choi([1e200 * np.eye(4)]))
 
     def test_phase_out_is_diso_with_zero_residual(self):
         rep = classify(phase_out(2))

@@ -10,13 +10,19 @@ two-unitary mixtures, 0.7 H + 0.3 I, incoherent mixtures), and runs
 ``mf_convex_roof(op, restarts=6, max_iter=600, seed=n)`` on each.  Each
 line holds the input's label, the value, the number of descent steps, one
 digest of the history and the ensemble weights, and one digest of the
-members' Choi matrices and of their weighted sum sum_n p_n C_n.  The probe
+members' Choi matrices and of their weighted sum sum_n p_n C_n.  Three
+columns follow on the Uhlmann lane: "uhlmann" where the input has one,
+"none" where its Choi rank is below d, and "-" on a checkout without it;
+then "won" or "lost" (the last lane's value lies strictly below every
+other lane's, read off the history), and the gap between the value and
+the lane's bound sqrt(1 - F), which is never above 1e-12.  The probe
 reads the ensemble only through ``weights`` and ``members``.  Run it
 against two checkouts and diff the outputs to see which inputs a change to
 the estimator moved, and by how much.
 """
 
 import hashlib
+import math
 import os
 import sys
 from pathlib import Path
@@ -40,6 +46,18 @@ def inputs(channel) -> list:
     return ops
 
 
+def lane_columns(coherence, op, result) -> str:
+    """Whether the Uhlmann lane ran, whether it won, and the value's gap to its bound."""
+    if not hasattr(coherence, "_uhlmann_lane"):
+        return "-       -    -"
+    lam, vecs = op.choi.support()
+    if lam.size < op.d:
+        return "none    -    -"
+    f = coherence._uhlmann_lane(vecs, (vecs * lam**0.5).T, lam.size**2)[0]
+    won = "won " if result.history[-1] < result.history[-2] else "lost"
+    return f"uhlmann {won} {result.value - math.sqrt(1.0 - f):+.3e}"
+
+
 def main(root: str) -> None:
     sys.path.insert(0, str(Path(root) / "src"))
     from qopcoh import channel, coherence
@@ -55,7 +73,7 @@ def main(root: str) -> None:
         matrices = [m.choi.matrix for m in ens.members]
         mixture = sum(w * m for w, m in zip(ens.weights, matrices))
         members = hashlib.sha256(b"".join(m.tobytes() for m in matrices) + mixture.tobytes()).hexdigest()[:16]
-        print(f"{label:28s} {result.value!r:22s} {len(steps):3d} {digest} {members}")
+        print(f"{label:28s} {result.value!r:22s} {len(steps):3d} {digest} {members} {lane_columns(coherence, op, result)}")
 
 
 if __name__ == "__main__":
