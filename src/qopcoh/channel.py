@@ -37,7 +37,6 @@ from .linalg import (
     devectorize,
     dimension,
     max_abs,
-    overflow_rejected,
     partial_trace_in,
     partial_trace_out,
     psd_root,
@@ -194,7 +193,6 @@ class QuantumOperation:
         return (ks @ r @ dagger(ks)).sum(axis=0)
 
 
-@overflow_rejected
 def choi_from_operation(op: QuantumOperation) -> ChoiState:
     """Choi state of an operation given in unitary or Kraus form, as C = V^T conj(V).
 
@@ -203,8 +201,10 @@ def choi_from_operation(op: QuantumOperation) -> ChoiState:
     if op.kind == "choi":
         return op.choi
     v = vectorize(op.kraus_operators) / np.sqrt(op.d)
+    with np.errstate(over="ignore", invalid="ignore"):  # ChoiState rejects an overflowed product
+        c = v.T @ v.conj()
     try:
-        return ChoiState(v.T @ v.conj())
+        return ChoiState(c)
     except InvalidChoiError as exc:
         raise InvalidKrausError(f"Kraus set does not define a trace-one Choi state: {exc}") from exc
 

@@ -46,6 +46,9 @@ class _Qopcoh(click.Group):
     def invoke(self, ctx):
         try:
             # Overflow to Inf or NaN is reported by the admission that rejects it, not as a warning.
+            # The library hushes the products that overflow; this also covers the sums and
+            # differences in the Hermitian and density admissions, which overflow only on
+            # entries near the float limit (~1e308).
             with np.errstate(over="ignore", invalid="ignore"):
                 return super().invoke(ctx)
         except QopcohError as exc:

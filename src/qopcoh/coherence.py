@@ -21,9 +21,10 @@ state.  ``mf_convex_roof`` bounds it from above by Riemannian gradient
 descent on isometries (Roethlisberger, Lehmann & Loss, PRA 80, 042301,
 2009, on the geometry of Edelman, Arias & Smith, SIAM J. Matrix Anal.
 Appl. 20, 303, 1998), one of whose starting points is the Uhlmann
-ensemble of the incoherent state closest in fidelity.  That ensemble also
-gives the geometric bound sqrt(1 - F(C, sigma)) for any diagonal sigma,
-which settles the axiom harness's checks without the descent.
+ensemble of the dephased Choi state.  Every diagonal sigma gives the
+geometric bound sqrt(1 - F(C, sigma)); raised toward the incoherent state
+closest in fidelity, it settles the axiom harness's checks without the
+descent.
 """
 
 import math
@@ -254,9 +255,11 @@ _STEPS = 100
 _STALL_STEPS = 15
 _STALL_GAIN = 1e-12
 _ZERO = 1e-13
-# The Uhlmann lane starts from this many ascent moves: a few raise F close
-# to its maximum, and more cost an SVD each.
-_LANE_STEPS = 8
+# The Uhlmann lane takes this many ascent moves, so one SVD at sigma =
+# diag(C).  Ten alternating 20-s pairs of the roof benchmark on a 2-core
+# x86 host, 8 moves against 0, split 5 to 5 (medians 158.7 and 155.9
+# ops/s): the moves cut about 2.5 descent steps per call and cost as much.
+_LANE_STEPS = 0
 
 
 def _row_terms(psi: np.ndarray) -> np.ndarray:
@@ -275,16 +278,16 @@ def _random_isometries(count: int, m: int, r: int, rng: np.random.Generator) -> 
     return np.linalg.qr(z)[0]
 
 
-def _uhlmann_lane(vecs: np.ndarray, a_t: np.ndarray, m: int) -> tuple:
-    """(F, V): the ascent's F on the support root, and the m x r isometry of its Uhlmann ensemble.
+def _uhlmann_lane(root: np.ndarray, vecs: np.ndarray, m: int) -> np.ndarray:
+    """The m x r isometry of the Uhlmann ensemble of the ascent from sqrt(C) = ``root``.
 
     The ensemble is psi~_k = sqrt(C) W|k>, one member per Choi basis state,
     so V[k, i] = <e_i|W|k> and V = W^T conj(E), padded with zero rows to m.
     """
-    f, _, w = incoherent_fidelity_ascent(a_t.T @ dagger(vecs), _LANE_STEPS)
+    w = incoherent_fidelity_ascent(root, _LANE_STEPS)[2]
     v = np.zeros((m, vecs.shape[1]), dtype=complex)
     v[: w.shape[0]] = w.T @ vecs.conj()
-    return f, v
+    return v
 
 
 def _polar(v: np.ndarray) -> np.ndarray:
@@ -346,11 +349,12 @@ def mf_convex_roof(
     sqrt(1 - F(C, sigma)) for every diagonal sigma.  The Uhlmann ensemble
     behind such an F, psi~_k = sqrt(C) W|k> with W from
     ``incoherent_fidelity_ascent``, attains no more than that bound itself.
-    So when restarts >= 2 and m >= d^2, the last lane starts from it, after
-    at most 8 ascent moves, padded with zero rows to m, in place of the
-    last random isometry.  All restarts - 1 random isometries are still
-    drawn, so every other lane stays as it would be without the Uhlmann
-    lane, and the result is never above that lane's sqrt(1 - F).
+    So when restarts >= 2 and m >= d^2, the last lane starts from it, at
+    sigma = diag(C) (one SVD, no ascent moves), padded with zero rows to m,
+    in place of the last random isometry.  All restarts - 1 random
+    isometries are still drawn, so every other lane stays as it would be
+    without the Uhlmann lane, and the result is never above that lane's
+    sqrt(1 - F).
 
     The starting points run in lockstep as lanes of one (restarts, m, r)
     stack.  Each step moves every lane against its direction, the gradient
@@ -388,7 +392,7 @@ def mf_convex_roof(
     v[0] = np.eye(m, r)  # warm start from the eigendecomposition ensemble itself
     v[1:] = _random_isometries(restarts - 1, m, r, rng)
     if restarts >= 2 and m >= choi.d**2:
-        v[-1] = _uhlmann_lane(vecs, a_t, m)[1]  # in place of the last random isometry
+        v[-1] = _uhlmann_lane(choi.root, vecs, m)  # in place of the last random isometry
     values, xi = _value_and_direction(v, v @ a_t, a_h)
     step = np.full(restarts, 0.5)
     best = [values.min()]  # best[i]: the least lane value after step i

@@ -72,11 +72,10 @@ def _spectrum(m: np.ndarray) -> HermitianEig:
 # Admission, the one place that decides whether an input is acceptable.  Each
 # check reads ``not residual <= tol``, so NaN is rejected, and finiteness is
 # checked before any arithmetic; ``error`` is the type the entry point raises.
-# Finite entries can still overflow the arithmetic to Inf or NaN, which those
-# checks reject, so the admissions run under ``overflow_rejected`` and report
-# the overflow as that rejection, not as a numpy warning.
-
-overflow_rejected = np.errstate(over="ignore", invalid="ignore")
+# A product of finite entries can still overflow to Inf or NaN, which those
+# checks reject; such a product runs under a fresh ``np.errstate`` that
+# ignores the overflow, so it is reported as that rejection, not as a numpy
+# warning.
 
 
 def require_finite(a, error=NotFiniteError, what: str = "matrix") -> np.ndarray:
@@ -87,7 +86,6 @@ def require_finite(a, error=NotFiniteError, what: str = "matrix") -> np.ndarray:
     return m
 
 
-@overflow_rejected
 def require_hermitian(a, error=NotHermitianError, what: str = "matrix") -> np.ndarray:
     """Admit a finite square matrix that is Hermitian to the admission tolerance."""
     m = require_finite(a, error, what)
@@ -104,7 +102,6 @@ def _require_psd(lowest: float, error, what: str) -> None:
         raise error(f"{what} has eigenvalue {lowest:.3e} below -{tol:.1e}")
 
 
-@overflow_rejected
 def require_density(a, error=NotDensityMatrixError, what: str = "state") -> tuple:
     """Admit a density matrix: finite, Hermitian, PSD and trace one.
 
@@ -121,14 +118,14 @@ def require_density(a, error=NotDensityMatrixError, what: str = "state") -> tupl
     return h, eig
 
 
-@overflow_rejected
 def require_unitary(a, error=NotUnitaryError, what: str = "matrix", dim: int | None = None) -> np.ndarray:
     """Admit a finite matrix with U+U = I to the admission tolerance (and size ``dim``, if given)."""
     m = require_finite(a, error, what)
     if dim is not None and m.shape != (dim, dim):
         raise error(f"expected a {dim}x{dim} unitary, got shape {m.shape}")
     n = require_square(m)
-    residual = max_abs(dagger(m) @ m - np.eye(n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = max_abs(dagger(m) @ m - np.eye(n))
     if not residual <= admission_atol():
         raise error(f"{what} is not unitary (residual {residual:.3e})")
     return m
@@ -150,7 +147,6 @@ def require_kraus(operators, what: str) -> np.ndarray:
     return stack
 
 
-@overflow_rejected
 def require_weights(weights) -> np.ndarray:
     """Admit finite, nonnegative weights summing to one to the admission tolerance."""
     p = np.asarray(weights, dtype=float).reshape(-1)

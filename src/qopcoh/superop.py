@@ -53,7 +53,6 @@ from .linalg import (
     devectorize,
     dimension,
     max_abs,
-    overflow_rejected,
     require_finite,
     require_kraus,
     require_mixture,
@@ -83,14 +82,16 @@ class Superoperation:
         """Phi -> post o Phi o pre, with its Choi-space Kraus stack {pre_q^T (x) post_p}, post-major.
 
         The stack is one broadcast product, bit-equal to the Kronecker
-        products (each entry is one product b*a).
+        products (each entry is one product b*a).  Finite halves can still
+        overflow it; the matrix build then rejects the non-finite result.
         """
         if post.d != pre.d:
             raise DimensionMismatchError("sandwich halves must share one dimension")
         a = post.kraus_operators
         bt = pre.kraus_operators.transpose(0, 2, 1)
         dd = post.d * post.d
-        stack = (bt[None, :, :, None, :, None] * a[:, None, None, :, None, :]).reshape(-1, dd, dd)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stack = (bt[None, :, :, None, :, None] * a[:, None, None, :, None, :]).reshape(-1, dd, dd)
         stack.setflags(write=False)
         return cls(post.d, "sandwich", post=post, pre=pre, choi_kraus=stack)
 
@@ -107,7 +108,6 @@ class Superoperation:
         return cls(d, "matrix", matrix=m)
 
     @cached_property
-    @overflow_rejected
     def matrix(self) -> np.ndarray:
         """Canonical, read-only d^4 x d^4 matrix, acting on column-stacked Choi matrices.
 
@@ -118,7 +118,9 @@ class Superoperation:
         """
         dd = self.d * self.d
         ks = self.choi_kraus.reshape(-1, dd * dd)
-        m = (ks.conj().T @ ks).reshape(dd, dd, dd, dd).transpose(0, 2, 1, 3).reshape(dd * dd, dd * dd)
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = ks.conj().T @ ks
+        m = m.reshape(dd, dd, dd, dd).transpose(0, 2, 1, 3).reshape(dd * dd, dd * dd)
         m.setflags(write=False)
         return require_finite(m, what="superoperation matrix")
 

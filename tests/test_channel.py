@@ -265,6 +265,18 @@ class TestRepresentations:
             with pytest.raises(InvalidKrausError):
                 QuantumOperation.from_kraus([np.diag([1e200, 1])]).choi
 
+    def test_overflow_guards_leave_numpy_error_state_as_it_was(self):
+        # the guards ignore overflow only around their own products, also when they nest
+        before = np.geterr()
+        QuantumOperation.from_kraus([np.eye(2)]).choi
+        QuantumOperation.from_unitary(np.eye(2)).choi
+        with pytest.raises(InvalidKrausError):
+            QuantumOperation.from_kraus([np.diag([1e200, 1])]).choi
+        assert np.geterr() == before
+        with np.errstate(over="raise"):
+            QuantumOperation.from_kraus([np.eye(2)]).choi
+            assert np.geterr()["over"] == "raise"
+
     def test_choi_state_validation(self):
         with pytest.raises(InvalidChoiError):
             ChoiState(np.diag([0.5, 0, 0, 0.4]))  # trace

@@ -434,7 +434,7 @@ def _reference_roof(op, restarts, max_iter, seed, stall=True):
     v[1:] = _random_isometries(restarts - 1, m, r, rng)
     if restarts >= 2 and r >= op.d:
         # the Uhlmann lane: rows sqrt(C) W|k> of the ascent's unitary, padded with zero rows
-        w = incoherent_fidelity_ascent((vecs * np.sqrt(lam)) @ dagger(vecs), 8)[2]
+        w = incoherent_fidelity_ascent(op.choi.root, coherence._LANE_STEPS)[2]
         v[-1] = 0.0
         v[-1, : w.shape[0]] = w.T @ vecs.conj()
     values = _row_terms(v @ a_t).sum(axis=1)
@@ -542,10 +542,12 @@ class TestGeometricBound:
         rng = np.random.default_rng(28)
         for n in range(40):
             d = 2 + n % 2
-            lam, vecs = random_cptp(d, d + n % 3, rng).choi.support()
+            choi = random_cptp(d, d + n % 3, rng).choi
+            lam, vecs = choi.support()
             r = lam.size
             a_t = (vecs * np.sqrt(lam)).T
-            f, v = _uhlmann_lane(vecs, a_t, r * r)
+            v = _uhlmann_lane(choi.root, vecs, r * r)
+            f = incoherent_fidelity_ascent(choi.root, coherence._LANE_STEPS)[0]
             assert max_abs(dagger(v) @ v - np.eye(r)) <= 1e-12
             ens = Ensemble((v @ a_t)[: d * d])
             assert max_abs(ens.reconstruction - (vecs * lam) @ dagger(vecs)) <= 1e-12
@@ -562,11 +564,10 @@ class TestGeometricBound:
                 op = random_cptp(d, 2 + n % 4, rng)
             else:
                 op = mix_operations([0.4, 0.6], [random_unitary(d, rng), random_unitary(d, rng)])
-            lam, vecs = op.choi.support()
-            if lam.size < d:
+            if op.choi.support().eigenvalues.size < d:
                 continue  # r^2 < d^2: no lane
             present += 1
-            f, _ = _uhlmann_lane(vecs, (vecs * np.sqrt(lam)).T, lam.size**2)
+            f = incoherent_fidelity_ascent(op.choi.root, coherence._LANE_STEPS)[0]
             res = mf_convex_roof(op, restarts=6, max_iter=600, seed=n)
             assert res.value <= math.sqrt(1.0 - f) + 1e-12
         assert present >= 30

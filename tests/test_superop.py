@@ -366,6 +366,10 @@ class TestClassify:
             warnings.simplefilter("error")
             with pytest.raises(NotFiniteError):
                 classify(Superoperation.from_kraus_on_choi([1e200 * np.eye(4)]))
+            # and so are finite sandwich halves whose Kronecker products overflow
+            half = QuantumOperation.from_kraus([np.diag([1e200, 0.0]), np.diag([0.0, 1e200])])
+            with pytest.raises(NotFiniteError):
+                classify(Superoperation.from_sandwich(half, half))
 
     def test_phase_out_is_diso_with_zero_residual(self):
         rep = classify(phase_out(2))

@@ -50,10 +50,9 @@ def lane_columns(coherence, op, result) -> str:
     """Whether the Uhlmann lane ran, whether it won, and the value's gap to its bound."""
     if not hasattr(coherence, "_uhlmann_lane"):
         return "-       -    -"
-    lam, vecs = op.choi.support()
-    if lam.size < op.d:
+    if op.choi.support().eigenvalues.size < op.d:
         return "none    -    -"
-    f = coherence._uhlmann_lane(vecs, (vecs * lam**0.5).T, lam.size**2)[0]
+    f = coherence.incoherent_fidelity_ascent(op.choi.root, coherence._LANE_STEPS)[0]
     won = "won " if result.history[-1] < result.history[-2] else "lost"
     return f"uhlmann {won} {result.value - math.sqrt(1.0 - f):+.3e}"
 
