@@ -201,10 +201,8 @@ def choi_from_operation(op: QuantumOperation) -> ChoiState:
     if op.kind == "choi":
         return op.choi
     v = vectorize(op.kraus_operators) / np.sqrt(op.d)
-    with np.errstate(over="ignore", invalid="ignore"):  # ChoiState rejects an overflowed product
-        c = v.T @ v.conj()
     try:
-        return ChoiState(c)
+        return ChoiState(v.T @ v.conj())
     except InvalidChoiError as exc:
         raise InvalidKrausError(f"Kraus set does not define a trace-one Choi state: {exc}") from exc
 

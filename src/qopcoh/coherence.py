@@ -55,6 +55,7 @@ from .linalg import (
     max_abs,
     psd_root,
     require_density,
+    require_finite,
     require_unitary,
     require_weights,
     vectorize,
@@ -132,11 +133,9 @@ class Ensemble:
     rows: np.ndarray
 
     def __post_init__(self):
-        rows = np.array(self.rows, dtype=complex)
+        rows = require_finite(np.array(self.rows, dtype=complex), WeightError, "ensemble rows")
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
-        if rows.ndim != 2:
-            raise DimensionMismatchError(f"ensemble rows must be an (n, d^2) array, got shape {rows.shape}")
         dimension(rows.shape[1], 2, "ensemble row")
         if not (require_weights(self.weights) > 0).all():
             raise WeightError("ensemble rows must be nonzero")

@@ -70,19 +70,22 @@ def _spectrum(m: np.ndarray) -> HermitianEig:
 
 
 # Admission, the one place that decides whether an input is acceptable.  Each
-# check reads ``not residual <= tol``, so NaN is rejected, and finiteness is
+# check reads ``not residual <= tol``, so NaN is rejected, and magnitude is
 # checked before any arithmetic; ``error`` is the type the entry point raises.
-# A product of finite entries can still overflow to Inf or NaN, which those
-# checks reject; such a product runs under a fresh ``np.errstate`` that
-# ignores the overflow, so it is reported as that rejection, not as a numpy
-# warning.
+# Entries are admitted up to MAX_ENTRY in modulus, so the products the library
+# forms stay finite: the longest chain between two admissions, Kraus entries to
+# sandwich stack to superoperation matrix or outcome weights, reaches about
+# n * d**4 * MAX_ENTRY**4 for n Choi-space Kraus operators, below 2**1024 while
+# n * d**4 < 2**24.
+MAX_ENTRY = 2.0**250
 
 
 def require_finite(a, error=NotFiniteError, what: str = "matrix") -> np.ndarray:
-    """Admit a 2-D matrix whose entries are all finite."""
+    """Admit a 2-D matrix whose entries are finite and at most MAX_ENTRY in modulus."""
     m = as_complex_matrix(a)
-    if not np.isfinite(m).all():
-        raise error(f"{what} has a non-finite entry")
+    if not max_abs(m) <= MAX_ENTRY:
+        found = "a non-finite entry" if not np.isfinite(m).all() else "an entry above 2^250 in modulus"
+        raise error(f"{what} has {found}")
     return m
 
 
@@ -124,8 +127,7 @@ def require_unitary(a, error=NotUnitaryError, what: str = "matrix", dim: int | N
     if dim is not None and m.shape != (dim, dim):
         raise error(f"expected a {dim}x{dim} unitary, got shape {m.shape}")
     n = require_square(m)
-    with np.errstate(over="ignore", invalid="ignore"):
-        residual = max_abs(dagger(m) @ m - np.eye(n))
+    residual = max_abs(dagger(m) @ m - np.eye(n))
     if not residual <= admission_atol():
         raise error(f"{what} is not unitary (residual {residual:.3e})")
     return m
@@ -150,7 +152,7 @@ def require_kraus(operators, what: str) -> np.ndarray:
 def require_weights(weights) -> np.ndarray:
     """Admit finite, nonnegative weights summing to one to the admission tolerance."""
     p = np.asarray(weights, dtype=float).reshape(-1)
-    admitted = p.size > 0 and np.isfinite(p).all() and (p >= 0).all()
+    admitted = p.size > 0 and max_abs(p) <= MAX_ENTRY and (p >= 0).all()
     if not (admitted and abs(p.sum() - 1.0) <= admission_atol()):
         raise WeightError(f"weights must be finite, nonnegative and sum to 1, got {weights}")
     return p

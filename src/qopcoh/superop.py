@@ -82,16 +82,16 @@ class Superoperation:
         """Phi -> post o Phi o pre, with its Choi-space Kraus stack {pre_q^T (x) post_p}, post-major.
 
         The stack is one broadcast product, bit-equal to the Kronecker
-        products (each entry is one product b*a).  Finite halves can still
-        overflow it; the matrix build then rejects the non-finite result.
+        products (each entry is one product b*a).  The halves' Kraus entries
+        are admitted up to 2^250, so the stack stays below 2^500; the matrix
+        build admits what it forms from the stack.
         """
         if post.d != pre.d:
             raise DimensionMismatchError("sandwich halves must share one dimension")
         a = post.kraus_operators
         bt = pre.kraus_operators.transpose(0, 2, 1)
         dd = post.d * post.d
-        with np.errstate(over="ignore", invalid="ignore"):
-            stack = (bt[None, :, :, None, :, None] * a[:, None, None, :, None, :]).reshape(-1, dd, dd)
+        stack = (bt[None, :, :, None, :, None] * a[:, None, None, :, None, :]).reshape(-1, dd, dd)
         stack.setflags(write=False)
         return cls(post.d, "sandwich", post=post, pre=pre, choi_kraus=stack)
 
@@ -113,14 +113,13 @@ class Superoperation:
 
         sum_n conj(K_n) (x) K_n in one product: G = conj(K)^T K over the flattened
         stack holds G[(r,c),(s,t)], reordered to the Kronecker layout [(r,s),(c,t)].
-        Finite Kraus entries can still overflow this product, so it is admitted
+        Admitted Kraus entries keep this product finite (a sandwich stack's
+        entries stay below 2^500), but it can exceed 2^250, so it is admitted
         like a matrix given directly.
         """
         dd = self.d * self.d
         ks = self.choi_kraus.reshape(-1, dd * dd)
-        with np.errstate(over="ignore", invalid="ignore"):
-            m = ks.conj().T @ ks
-        m = m.reshape(dd, dd, dd, dd).transpose(0, 2, 1, 3).reshape(dd * dd, dd * dd)
+        m = (ks.conj().T @ ks).reshape(dd, dd, dd, dd).transpose(0, 2, 1, 3).reshape(dd * dd, dd * dd)
         m.setflags(write=False)
         return require_finite(m, what="superoperation matrix")
 

@@ -249,7 +249,7 @@ class TestRepresentations:
         for bad in (np.inf, np.nan):
             with pytest.raises(NotUnitaryError):
                 QuantumOperation.from_unitary(np.array([[bad, 0], [0, 1]], dtype=complex))
-        # finite entries whose product overflows are rejected, not warned about
+        # a finite entry past 2^250 is rejected at admission, before any product can overflow
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NotUnitaryError):
@@ -259,14 +259,16 @@ class TestRepresentations:
         for bad in (np.inf, np.nan):
             with pytest.raises(InvalidKrausError):
                 QuantumOperation.from_kraus([np.eye(2), np.diag([bad, 0.0])])
-        # a finite set whose Choi matrix overflows is rejected when the Choi state is formed
+        # so is a finite Kraus entry past 2^250, and one inside it whose Choi matrix goes past it
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidKrausError):
                 QuantumOperation.from_kraus([np.diag([1e200, 1])]).choi
+            with pytest.raises(InvalidKrausError):
+                QuantumOperation.from_kraus([np.diag([1e100, 1])]).choi
 
     def test_overflow_guards_leave_numpy_error_state_as_it_was(self):
-        # the guards ignore overflow only around their own products, also when they nest
+        # the library never touches numpy's error state: oversized entries are rejected before any product
         before = np.geterr()
         QuantumOperation.from_kraus([np.eye(2)]).choi
         QuantumOperation.from_unitary(np.eye(2)).choi

@@ -1,13 +1,17 @@
 """Matrix kernel tests: eigensolver, PSD roots, partial traces, the dimension rule, vectorization."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from qopcoh.channel import ChoiState, QuantumOperation, identity_operation, random_cptp
-from qopcoh.coherence import operation_fidelity, uhlmann_fidelity
-from qopcoh.superop import Superoperation, apply, compose, kraus_outcomes, phase_out
+from qopcoh.channel import ChoiState, QuantumOperation, identity_operation, mix_operations, random_cptp
+from qopcoh.coherence import Ensemble, operation_fidelity, uhlmann_fidelity
+from qopcoh.superop import Superoperation, apply, classify, compose, kraus_outcomes, phase_out
 from qopcoh.exceptions import (
     DimensionMismatchError,
+    InvalidChoiError,
+    InvalidKrausError,
     InvalidToleranceError,
     NotDensityMatrixError,
     NotFiniteError,
@@ -18,6 +22,7 @@ from qopcoh.exceptions import (
     WeightError,
 )
 from qopcoh.linalg import (
+    MAX_ENTRY,
     devectorize,
     dimension,
     eig_hermitian,
@@ -290,6 +295,11 @@ class TestAdmission:
                 require_finite(np.array([[1.0, bad], [0.0, 1.0]]))
             with pytest.raises(ValueError):
                 require_finite(np.array([[bad]]), error=ValueError)
+        # magnitude is admitted up to MAX_ENTRY, whose square leaves room for the library's products
+        require_finite(np.array([[MAX_ENTRY, -MAX_ENTRY], [1j * MAX_ENTRY, 0.0]]))
+        for big in (np.nextafter(MAX_ENTRY, np.inf), 1e200, 1.7e308 + 1.7e308j):
+            with pytest.raises(NotFiniteError, match="above 2\\^250"):
+                require_finite(np.array([[1.0, big]]))
 
     def test_hermitian(self):
         require_hermitian(PAULI_X)
@@ -322,9 +332,64 @@ class TestAdmission:
 
     def test_weights(self):
         assert list(require_weights([0.25, 0.75])) == [0.25, 0.75]
-        for bad in ([], [0.4, 0.4], [-0.5, 1.5], [np.nan, 1.0], [np.inf, -np.inf], [1.0, np.nan]):
+        for bad in ([], [0.4, 0.4], [-0.5, 1.5], [np.nan, 1.0], [np.inf, -np.inf], [1.0, np.nan], [1.7e308] * 2):
             with pytest.raises(WeightError):
                 require_weights(bad)
+
+
+def _choi_with(entries: dict) -> np.ndarray:
+    m = np.eye(4) / 4
+    for index, value in entries.items():
+        m[index] = value
+    return m
+
+
+def _sandwich_half():
+    return QuantumOperation.from_kraus([np.diag([1e200, 0.0]), np.diag([0.0, 1e200])])
+
+
+# Each entry point rejects a finite entry past MAX_ENTRY with its own error type before any
+# arithmetic, so no product overflows and numpy never warns.
+OVERSIZED_INPUTS = {
+    "compose of two 1e200 matrices": (
+        lambda: compose(*(Superoperation.from_matrix(1e200 * np.eye(16)) for _ in range(2))),
+        NotFiniteError,
+    ),
+    "kraus_outcomes of a 1e200 Kraus-on-Choi set": (
+        lambda: kraus_outcomes(Superoperation.from_kraus_on_choi([1e200 * np.eye(4)]), identity_operation(2)),
+        InvalidKrausError,
+    ),
+    "1e200 ensemble row": (lambda: Ensemble([[1e200, 0, 0, 0]]), WeightError),
+    "Choi state with the anti-Hermitian pair 1.7e308": (
+        lambda: ChoiState(_choi_with({(0, 1): 1.7e308, (1, 0): -1.7e308})),
+        InvalidChoiError,
+    ),
+    "Choi state with 1.7e308 on the diagonal": (lambda: ChoiState(_choi_with({(0, 0): 1.7e308})), InvalidChoiError),
+    "unitary with a 1.7e308+1.7e308j entry": (
+        lambda: QuantumOperation.from_unitary(np.diag([1.7e308 + 1.7e308j, 1.0])),
+        NotUnitaryError,
+    ),
+    "classify of a 1e200 Kraus-on-Choi set": (
+        lambda: classify(Superoperation.from_kraus_on_choi([1e200 * np.eye(4)])),
+        InvalidKrausError,
+    ),
+    "classify of a 1e200 sandwich": (
+        lambda: classify(Superoperation.from_sandwich(_sandwich_half(), _sandwich_half())),
+        InvalidKrausError,
+    ),
+    "mixture with weights 1.7e308": (
+        lambda: mix_operations([1.7e308, 1.7e308], [identity_operation(2)] * 2),
+        WeightError,
+    ),
+}
+
+
+@pytest.mark.parametrize("build, error", OVERSIZED_INPUTS.values(), ids=OVERSIZED_INPUTS.keys())
+def test_oversized_entries_are_rejected_without_a_warning(build, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            build()
 
 
 class TestAdmissionTolerance:

@@ -361,15 +361,22 @@ class TestClassify:
                 Superoperation.from_matrix(m)
             with pytest.raises(InvalidKrausError):
                 Superoperation.from_kraus_on_choi([np.diag([1.0, 1.0, 1.0, bad])])
-        # finite Kraus entries whose matrix overflows are rejected, not warned about
+        # Kraus entries past 2^250 are rejected when the Kraus set is admitted, not warned about
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NotFiniteError):
+            with pytest.raises(InvalidKrausError):
                 classify(Superoperation.from_kraus_on_choi([1e200 * np.eye(4)]))
-            # and so are finite sandwich halves whose Kronecker products overflow
-            half = QuantumOperation.from_kraus([np.diag([1e200, 0.0]), np.diag([0.0, 1e200])])
+            with pytest.raises(InvalidKrausError):
+                QuantumOperation.from_kraus([np.diag([1e200, 0.0]), np.diag([0.0, 1e200])])
+            # admitted entries whose matrix goes past 2^250 are rejected when the matrix is admitted
+            with pytest.raises(NotFiniteError):
+                classify(Superoperation.from_kraus_on_choi([1e70 * np.eye(4)]))
+            half = QuantumOperation.from_kraus([np.diag([1e40, 0.0]), np.diag([0.0, 1e40])])
             with pytest.raises(NotFiniteError):
                 classify(Superoperation.from_sandwich(half, half))
+            big = Superoperation.from_matrix(1e70 * np.eye(16))
+            with pytest.raises(NotFiniteError):
+                compose(big, big)
 
     def test_phase_out_is_diso_with_zero_residual(self):
         rep = classify(phase_out(2))

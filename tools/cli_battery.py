@@ -20,9 +20,11 @@ projectors |ia><ia| as a ``kraus_on_choi`` document, a fixed 16x16
 ``matrix`` document, and the same matrix with one NaN entry, which must
 exit 2.  It also writes seven documents whose arrays do not fit the d = 2
 they declare; ``check`` or ``classify`` must reject each with exit 2.  Last
-come two superoperation documents with finite entries of 1e200, whose
-matrix overflows: ``classify`` must reject each with exit 2.  That makes 92
-commands.
+come four documents with finite entries past the 2^250 that admission
+allows: three superoperation documents with entries of 1e200 (Kraus on
+Choi, sandwich and matrix) and a Choi document holding the pair
++-1.7e308, whose products would overflow.  ``classify`` or ``check`` must
+reject each with exit 2.  That makes 94 commands.
 """
 
 import hashlib
@@ -83,10 +85,9 @@ def commands() -> list:
     ]
     # the suite choices, as listed in the help and in a usage error
     battery += ["verify --help", "verify --suite theorem99 --seed 1"]
-    # arrays that do not fit the declared d
-    for name, doc in malformed_documents().items():
+    # arrays that do not fit the declared d, then finite entries past 2^250
+    for name, doc in {**malformed_documents(), **overflow_documents()}.items():
         battery.append(f"check {name}.json --predicate cptp" if doc["kind"] in OPERATION_DOCUMENT_KINDS else f"classify {name}.json")
-    battery += [f"classify {name}.json" for name in overflow_documents()]
     return battery
 
 
@@ -124,11 +125,15 @@ def malformed_documents() -> dict:
 
 
 def overflow_documents() -> dict:
-    """Hand-written d = 2 superoperation documents whose finite entries overflow the matrix, by file stem."""
+    """Hand-written d = 2 documents whose finite entries would overflow the products formed from them, by file stem."""
     half = _document("kraus", [1e200 * np.outer(e, np.eye(2)[0]) for e in np.eye(2)])
+    pair = np.eye(4) / 4
+    pair[0, 1], pair[1, 0] = 1.7e308, -1.7e308
     return {
         "kraus-on-choi-overflow": _document("kraus_on_choi", [1e200 * np.eye(4)]),
         "sandwich-overflow": {"schema_version": "1", "kind": "sandwich", "d": 2, "post": half, "pre": half},
+        "choi-overflow": _document("choi", [pair]),
+        "matrix-overflow": _document("matrix", [1e200 * np.eye(16)]),
     }
 
 
