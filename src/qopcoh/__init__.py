@@ -28,7 +28,6 @@ from .coherence import (
     mf_convex_roof,
     mf_pure,
     mf_single_qubit_unitary,
-    operation_fidelity,
     uhlmann_fidelity,
     verify_axioms,
 )

@@ -46,7 +46,7 @@ from .linalg import (
     require_unitary,
     vectorize,
 )
-from .tolerances import admission_atol
+from .tolerances import ADMISSION_ATOL
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -77,7 +77,7 @@ class ChoiState:
         return float(self._eig.eigenvalues[0])
 
     def is_pure(self) -> bool:
-        return self.largest_eigenvalue >= 1.0 - admission_atol()
+        return self.largest_eigenvalue >= 1.0 - ADMISSION_ATOL
 
     def support(self) -> HermitianEig:
         """Eigenpairs above the rank cutoff, from the spectrum held since admission."""
@@ -108,10 +108,9 @@ class CptpReport:
 
 def is_cptp(choi: ChoiState) -> CptpReport:
     """C >= 0 and tr_out(C) = I/d, both to the admission tolerance."""
-    tol = admission_atol()
     min_eig = float(choi._eig.eigenvalues[-1])
     marginal = max_abs(partial_trace_out(choi.matrix) - np.eye(choi.d) / choi.d)
-    return CptpReport(min_eig >= -tol and marginal <= tol, min_eig, marginal)
+    return CptpReport(min_eig >= -ADMISSION_ATOL and marginal <= ADMISSION_ATOL, min_eig, marginal)
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,7 @@ def is_incoherent_operation(choi: ChoiState) -> IncoherenceReport:
     """Incoherent iff the Choi matrix is diagonal in the |i alpha> basis."""
     off = choi.matrix - np.diag(np.diag(choi.matrix))
     residual = max_abs(off)
-    return IncoherenceReport(residual <= admission_atol(), residual)
+    return IncoherenceReport(residual <= ADMISSION_ATOL, residual)
 
 
 class QuantumOperation:

@@ -2,18 +2,17 @@
 
 Exit codes: 0 for success or a true predicate, 1 for a false predicate or
 a failed verification suite, 2 for usage and parse errors, an out-of-range
-count or seed, an invalid QOPCOH_TOL, a matrix entry above 2^250 in
-modulus (in a document, or in the matrix a superoperation forms from it)
-and a request too large for memory.
-Every randomized command takes an explicit --seed; reports are
-byte-identical for a fixed seed and input (pass --timing to add a
-wall-time field).
+count or seed, a matrix entry above 2^250 in modulus (in a document, or in
+the matrix a superoperation forms from it) and a request too large for
+memory.
+Every verdict uses the fixed tolerances of ``tolerances``, and every
+randomized command takes an explicit --seed, so reports are byte-identical
+for a fixed seed and input (pass --timing to add a wall-time field).
 
 Click exits 2 on usage errors; the group class ``_Qopcoh`` turns every
-QopcohError, the QOPCOH_TOL check included, and every MemoryError into
-"error: ..." on stderr and exit 2.  The report commands return (report,
-exit code) to the ``_report`` decorator, which holds --timing and prints
-and exits.
+QopcohError and every MemoryError into "error: ..." on stderr and exit 2.
+The report commands return (report, exit code) to the ``_report``
+decorator, which holds --timing and prints and exits.
 """
 
 import functools
@@ -36,7 +35,6 @@ from .documents import (
 )
 from .exceptions import QopcohError
 from .suites import SUITE_NAMES, run_suite
-from .tolerances import admission_atol
 
 COUNT = click.IntRange(min=1)
 SEED = click.IntRange(min=0)
@@ -57,7 +55,6 @@ class _Qopcoh(click.Group):
 @click.group(cls=_Qopcoh)
 def main():
     """Analyze the coherence of quantum operations via their Choi states."""
-    admission_atol()
 
 
 def _report(command):
@@ -165,7 +162,9 @@ def classify(in_file):
     type=click.Choice(["auto", "pure", "qubit-closed-form", "convex-roof"]),
 )
 @click.option("--restarts", type=click.IntRange(1, 256), default=32, show_default=True)
-@click.option("--max-iter", type=click.IntRange(min=0), default=2000, show_default=True)
+@click.option(
+    "--max-iter", type=click.IntRange(min=0), default=100, show_default=True, help="Step cap; at most 100 steps run."
+)
 @click.option("--seed", type=SEED, default=None, help="Required when the convex roof runs.")
 @_report
 def measure(in_file, method, restarts, max_iter, seed):

@@ -45,6 +45,7 @@ from .exceptions import (
     DimensionMismatchError,
     InvalidChoiError,
     MethodInapplicableError,
+    NotFiniteError,
     NotPureChoiError,
     WeightError,
 )
@@ -110,13 +111,6 @@ def incoherent_fidelity_ascent(root: np.ndarray, steps: int, target: float = 0.0
         f_before = f
         a = np.maximum((w.conj() * root).sum(axis=0).real, 0.0)
         s = a * a / (a @ a)
-
-
-def operation_fidelity(a: QuantumOperation, b: QuantumOperation) -> float:
-    """Fidelity of two operations = Uhlmann fidelity of their Choi states, from their held roots."""
-    if a.d != b.d:
-        raise DimensionMismatchError(f"operation dims differ: {a.d} vs {b.d}")
-    return fidelity_from_roots(a.choi.root, b.choi.root)
 
 
 @dataclass(frozen=True)
@@ -228,10 +222,11 @@ def max_coherent_operation(thetas) -> QuantumOperation:
     exp(i(theta[i,a] - theta[j,b])) / 4 and measure sqrt(3)/2 for every
     choice of angles.
     """
-    th = np.asarray(thetas, dtype=float)
+    th = np.asarray(thetas, dtype=float).reshape(-1)
     if th.size != 4:
         raise DimensionMismatchError(f"the maximally coherent operation needs four angles, got {th.size}")
-    k = devectorize(np.exp(1j * th.reshape(-1)), 2) / np.sqrt(2.0)
+    require_finite(th[None], NotFiniteError, "angles")
+    k = devectorize(np.exp(1j * th), 2) / np.sqrt(2.0)
     return QuantumOperation.from_kraus([k])
 
 
@@ -324,7 +319,7 @@ def _value_and_direction(v: np.ndarray, psi: np.ndarray, a_h: np.ndarray) -> tup
 def mf_convex_roof(
     op: QuantumOperation,
     restarts: int = 32,
-    max_iter: int = 2000,
+    max_iter: int = _STEPS,
     *,
     seed,
 ) -> MeasureResult:
@@ -364,12 +359,13 @@ def mf_convex_roof(
     direction.  It keeps the step only when it lowers the lane's value, and
     then copies all three from the trial; its step size then grows by 1.3,
     and otherwise halves.  A lane that rejects keeps its V, and so its
-    direction.  The descent takes at most 100 steps, or ``max_iter`` if
-    that is fewer.  It ends sooner once the best value across lanes
-    stalls, having gained no more than 1e-12 of itself over the last 15
-    steps, or once a lane reaches zero, which no ensemble can beat.  The
-    rows of the best lane are formed once, after the loop, and the returned
-    ensemble holds them; its members are built only if something reads them.
+    direction.  The descent takes at most 100 steps, the default
+    ``max_iter``, or ``max_iter`` if that is fewer.  It ends sooner once
+    the best value across lanes stalls, having gained no more than 1e-12 of
+    itself over the last 15 steps, or once a lane reaches zero, which no
+    ensemble can beat.  The rows of the best lane are formed once, after
+    the loop, and the returned ensemble holds them; its members are built
+    only if something reads them.
 
     The returned history is the running minimum of the lanes' values in
     lane order, so it has ``restarts`` entries and is nonincreasing; the
@@ -427,7 +423,7 @@ def measure_coherence(
     op: QuantumOperation,
     method: str = "auto",
     restarts: int = 32,
-    max_iter: int = 2000,
+    max_iter: int = _STEPS,
     seed=None,
 ) -> MeasureResult:
     """Dispatch to the closed form, the pure shortcut, or the convex roof.
@@ -502,7 +498,7 @@ def _measure_value(op: QuantumOperation, rng: np.random.Generator, rhs: float) -
     bound = math.sqrt(1.0 - incoherent_fidelity_ascent(op.choi.root, _GATE_STEPS, rhs + AXIOM_SLACK)[0])
     if bound <= rhs + AXIOM_SLACK:
         return bound, False
-    return mf_convex_roof(op, restarts=6, max_iter=600, seed=seed).value, False
+    return mf_convex_roof(op, restarts=6, seed=seed).value, False
 
 
 def _perm_phase_choi_kraus(dd: int, rng: np.random.Generator) -> np.ndarray:

@@ -75,7 +75,3 @@ class UnknownSuiteError(QopcohError):
 
 class NotFiniteError(QopcohError):
     pass
-
-
-class InvalidToleranceError(QopcohError):
-    pass

@@ -25,7 +25,7 @@ from .exceptions import (
     NotUnitaryError,
     WeightError,
 )
-from .tolerances import admission_atol
+from .tolerances import ADMISSION_ATOL
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -94,15 +94,14 @@ def require_hermitian(a, error=NotHermitianError, what: str = "matrix") -> np.nd
     m = require_finite(a, error, what)
     require_square(m)
     residual = max_abs(m - dagger(m))
-    if not residual <= admission_atol():
+    if not residual <= ADMISSION_ATOL:
         raise error(f"{what} is not Hermitian within tolerance (residual {residual:.3e})")
     return m
 
 
 def _require_psd(lowest: float, error, what: str) -> None:
-    tol = admission_atol()
-    if not lowest >= -tol:
-        raise error(f"{what} has eigenvalue {lowest:.3e} below -{tol:.1e}")
+    if not lowest >= -ADMISSION_ATOL:
+        raise error(f"{what} has eigenvalue {lowest:.3e} below -{ADMISSION_ATOL:.1e}")
 
 
 def require_density(a, error=NotDensityMatrixError, what: str = "state") -> tuple:
@@ -116,7 +115,7 @@ def require_density(a, error=NotDensityMatrixError, what: str = "state") -> tupl
     eig = _spectrum(h)
     _require_psd(eig.eigenvalues[-1], error, what)
     trace = float(np.trace(h).real)
-    if not abs(trace - 1.0) <= admission_atol():
+    if not abs(trace - 1.0) <= ADMISSION_ATOL:
         raise error(f"{what} has trace {trace:.12f}, expected 1")
     return h, eig
 
@@ -128,7 +127,7 @@ def require_unitary(a, error=NotUnitaryError, what: str = "matrix", dim: int | N
         raise error(f"expected a {dim}x{dim} unitary, got shape {m.shape}")
     n = require_square(m)
     residual = max_abs(dagger(m) @ m - np.eye(n))
-    if not residual <= admission_atol():
+    if not residual <= ADMISSION_ATOL:
         raise error(f"{what} is not unitary (residual {residual:.3e})")
     return m
 
@@ -153,7 +152,7 @@ def require_weights(weights) -> np.ndarray:
     """Admit finite, nonnegative weights summing to one to the admission tolerance."""
     p = np.asarray(weights, dtype=float).reshape(-1)
     admitted = p.size > 0 and max_abs(p) <= MAX_ENTRY and (p >= 0).all()
-    if not (admitted and abs(p.sum() - 1.0) <= admission_atol()):
+    if not (admitted and abs(p.sum() - 1.0) <= ADMISSION_ATOL):
         raise WeightError(f"weights must be finite, nonnegative and sum to 1, got {weights}")
     return p
 
@@ -194,7 +193,7 @@ def psd_root(eig: HermitianEig) -> np.ndarray:
 
 
 def sqrt_psd(a) -> np.ndarray:
-    """Hermitian PSD square root; eigenvalues below -admission_tol raise NotPSDError."""
+    """Hermitian PSD square root; eigenvalues below -ADMISSION_ATOL raise NotPSDError."""
     eig = eig_hermitian(a)
     _require_psd(eig.eigenvalues[-1], NotPSDError, "matrix")
     return psd_root(eig)

@@ -59,7 +59,7 @@ from .linalg import (
     require_square,
     vectorize,
 )
-from .tolerances import admission_atol
+from .tolerances import ADMISSION_ATOL
 
 
 class Superoperation:
@@ -166,7 +166,7 @@ def kraus_outcomes(s: Superoperation, op: QuantumOperation) -> list:
     branches = s.choi_kraus @ op.choi.matrix @ dagger(s.choi_kraus)
     weights = np.trace(branches, axis1=1, axis2=2).real
     total = float(weights.sum())
-    if not total <= 1.0 + admission_atol():
+    if not total <= 1.0 + ADMISSION_ATOL:
         raise InvalidKrausError(f"outcome weights sum to {total:.9f} > 1")
     kept = [(float(p), b / p) for p, b in zip(weights, branches) if p > 1e-12]
     return [(p, QuantumOperation.from_choi(b)) for p, b in kept]
@@ -214,9 +214,8 @@ def classify(s: Superoperation) -> ClassificationReport:
     on[:: dd + 1] = True
     r_miso = max_abs(m[np.ix_(~on, on)])
     r_star = max_abs(m[np.ix_(on, ~on)])
-    tol = admission_atol()
-    in_miso = r_miso <= tol
-    in_star = r_star <= tol
+    in_miso = r_miso <= ADMISSION_ATOL
+    in_star = r_star <= ADMISSION_ATOL
     return ClassificationReport(
         in_miso=in_miso,
         in_miso_star=in_star,
@@ -381,6 +380,6 @@ def closure_harness(name: str, samples: int, seed, d: int = 2) -> ClosureReport:
             if not getattr(verdict, f"in_{name}"):
                 report.violations.append(ClosureViolation(name, i, kind, verdict))
             m = candidate.matrix
-            if verdict.in_diso != (max_abs(m @ theta - theta @ m) <= admission_atol()):
+            if verdict.in_diso != (max_abs(m @ theta - theta @ m) <= ADMISSION_ATOL):
                 report.intersection_consistent = False
     return report

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -30,13 +31,13 @@ from qopcoh.coherence import (
     SQRT3_OVER_2,
     Ensemble,
     MeasureResult,
+    fidelity_from_roots,
     incoherent_fidelity_ascent,
     max_coherent_operation,
     measure_coherence,
     mf_convex_roof,
     mf_pure,
     mf_single_qubit_unitary,
-    operation_fidelity,
     uhlmann_fidelity,
     verify_axioms,
 )
@@ -54,6 +55,7 @@ from qopcoh.exceptions import (
     DimensionMismatchError,
     MethodInapplicableError,
     NotDensityMatrixError,
+    NotFiniteError,
     NotPureChoiError,
     NotUnitaryError,
     WeightError,
@@ -113,16 +115,18 @@ class TestUhlmannFidelity:
 
 
 class TestOperationFidelity:
+    """The fidelity of two operations is the Uhlmann fidelity of their Choi states."""
+
     def test_self_fidelity(self):
         op = random_unitary(2, 43)
-        assert abs(operation_fidelity(op, op) - 1.0) <= 1e-12
+        assert abs(uhlmann_fidelity(op.choi.matrix, op.choi.matrix) - 1.0) <= 1e-12
 
     def test_identity_vs_pauli_x_is_zero(self):
-        f = operation_fidelity(identity_operation(2), pauli_x_operation())
+        f = uhlmann_fidelity(identity_operation(2).choi.matrix, pauli_x_operation().choi.matrix)
         assert f <= 1e-12
 
     def test_identity_vs_dephasing_is_half(self):
-        f = operation_fidelity(identity_operation(2), dephasing_operation(2))
+        f = uhlmann_fidelity(identity_operation(2).choi.matrix, dephasing_operation(2).choi.matrix)
         assert abs(f - 0.5) <= 1e-10
 
     def test_equals_the_fidelity_of_the_readmitted_choi_matrices(self):
@@ -131,7 +135,7 @@ class TestOperationFidelity:
             d = 2 + seed % 2
             a = random_cptp(d, 1 + seed % 3, seed) if seed % 4 else random_unitary(d, seed)
             b = random_cptp(d, 2, 1000 + seed)
-            assert operation_fidelity(a, b) == uhlmann_fidelity(a.choi.matrix, b.choi.matrix)
+            assert fidelity_from_roots(a.choi.root, b.choi.root) == uhlmann_fidelity(a.choi.matrix, b.choi.matrix)
 
 
 class TestMfPure:
@@ -210,6 +214,14 @@ class TestMaxCoherentOperation:
         for thetas in ([1, 2, 3], np.zeros(5), []):
             with pytest.raises(DimensionMismatchError, match="needs four angles"):
                 max_coherent_operation(thetas)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_angles_without_a_warning(self, bad):
+        # an infinite angle once warned in exp(i theta), then failed as a Kraus set
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotFiniteError, match="angles"):
+                max_coherent_operation([bad, 0.0, 0.0, 0.0])
 
 
 class TestConvexRoof:

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from qopcoh.channel import ChoiState, QuantumOperation, identity_operation, mix_operations, random_cptp
-from qopcoh.coherence import Ensemble, operation_fidelity, uhlmann_fidelity
+from qopcoh.coherence import Ensemble, uhlmann_fidelity
 from qopcoh.superop import Superoperation, apply, classify, compose, kraus_outcomes, phase_out
 from qopcoh.exceptions import (
     DimensionMismatchError,
     InvalidChoiError,
     InvalidKrausError,
-    InvalidToleranceError,
     NotDensityMatrixError,
     NotFiniteError,
     NotHermitianError,
@@ -37,7 +36,6 @@ from qopcoh.linalg import (
     sqrt_psd,
     vectorize,
 )
-from qopcoh.tolerances import DEFAULT_ADMISSION_ATOL, admission_atol
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -208,7 +206,7 @@ class TestDimension:
             lambda: apply(phase_out(3), identity_operation(2)),
             lambda: kraus_outcomes(phase_out(3), identity_operation(2)),
             lambda: uhlmann_fidelity(np.eye(2) / 2, np.eye(3) / 3),
-            lambda: operation_fidelity(identity_operation(2), identity_operation(3)),
+            lambda: uhlmann_fidelity(identity_operation(2).choi.matrix, identity_operation(3).choi.matrix),
             lambda: identity_operation(2).apply(np.eye(3) / 3),
             lambda: random_cptp(2, 2, 1).apply(np.eye(3) / 3),
             lambda: QuantumOperation.from_choi(np.eye(4) / 4).apply(np.eye(3) / 3),
@@ -390,17 +388,3 @@ def test_oversized_entries_are_rejected_without_a_warning(build, error):
         warnings.simplefilter("error")
         with pytest.raises(error):
             build()
-
-
-class TestAdmissionTolerance:
-    def test_default_and_override(self, monkeypatch):
-        monkeypatch.delenv("QOPCOH_TOL", raising=False)
-        assert admission_atol() == DEFAULT_ADMISSION_ATOL
-        monkeypatch.setenv("QOPCOH_TOL", "1e-6")
-        assert admission_atol() == 1e-6
-
-    @pytest.mark.parametrize("raw", ["abc", "nan", "inf", "-inf", "0", "-1", ""])
-    def test_rejects_non_finite_or_non_positive(self, monkeypatch, raw):
-        monkeypatch.setenv("QOPCOH_TOL", raw)
-        with pytest.raises(InvalidToleranceError):
-            admission_atol()

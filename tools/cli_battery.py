@@ -142,7 +142,7 @@ def run(command: str, src: Path, workdir: Path) -> str:
     out = workdir / args[args.index("--out") + 1] if "--out" in args else None
     if out is not None and out.exists():
         out.unlink()
-    env = {k: v for k, v in os.environ.items() if k != "QOPCOH_TOL"}
+    env = dict(os.environ)
     env.update(PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-c", LAUNCH, *args], cwd=workdir, env=env, capture_output=True, timeout=600
