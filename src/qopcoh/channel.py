@@ -66,11 +66,18 @@ def rng_from(seed) -> np.random.Generator:
 class ChoiState:
     """Trace-one PSD matrix on the d^2-dimensional input(x)output space; d is read off its size."""
 
-    def __init__(self, matrix):
-        self.matrix, self._eig = require_density(matrix, InvalidChoiError, "Choi matrix")
+    def __init__(self, matrix, _admitted: tuple | None = None):
+        self.matrix, self._eig = _admitted or require_density(matrix, InvalidChoiError, "Choi matrix")
         self.d = dimension(self.matrix.shape[0], 2, "Choi matrix")
         for a in (self.matrix, *self._eig):
             a.setflags(write=False)
+
+    @classmethod
+    def admit_stack(cls, matrices) -> list:
+        """Admit a stack (..., d^2, d^2) of Choi matrices at once; return one state per member, each a row of it."""
+        h, (w, v) = require_density(matrices, InvalidChoiError, "Choi matrix", stacked=True)
+        rows = zip(h.reshape(-1, *h.shape[-2:]), w.reshape(-1, w.shape[-1]), v.reshape(-1, *v.shape[-2:]))
+        return [cls(None, (hk, HermitianEig(wk, vk))) for hk, wk, vk in rows]
 
     @property
     def largest_eigenvalue(self) -> float:
@@ -192,16 +199,18 @@ class QuantumOperation:
         return (ks @ r @ dagger(ks)).sum(axis=0)
 
 
-def choi_from_operation(op: QuantumOperation) -> ChoiState:
-    """Choi state of an operation given in unitary or Kraus form, as C = V^T conj(V).
+def choi_matrices(kraus: np.ndarray) -> np.ndarray:
+    """C = V^T conj(V) of a Kraus stack (n, d, d), or of each of (..., n, d, d); row n of V is vec(K_n) / sqrt d."""
+    v = vectorize(kraus) / np.sqrt(kraus.shape[-1])
+    return np.swapaxes(v, -1, -2) @ v.conj()
 
-    Row n of V is (I (x) K_n)|phi> = vec(K_n) / sqrt d.
-    """
+
+def choi_from_operation(op: QuantumOperation) -> ChoiState:
+    """Choi state of an operation given in unitary or Kraus form, from ``choi_matrices``."""
     if op.kind == "choi":
         return op.choi
-    v = vectorize(op.kraus_operators) / np.sqrt(op.d)
     try:
-        return ChoiState(v.T @ v.conj())
+        return ChoiState(choi_matrices(op.kraus_operators))
     except InvalidChoiError as exc:
         raise InvalidKrausError(f"Kraus set does not define a trace-one Choi state: {exc}") from exc
 
@@ -276,13 +285,22 @@ def mix_operations(weights, ops) -> QuantumOperation:
     return QuantumOperation.from_choi(c)
 
 
+def ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Complex n x n Ginibre matrix, its real part drawn first."""
+    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+
+
+def haar_from_ginibre(z: np.ndarray) -> np.ndarray:
+    """Haar unitary from a Ginibre matrix, or from each in a stack: its QR factor Q, phase-fixed."""
+    q, r = np.linalg.qr(z)
+    phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    phases /= np.abs(phases)
+    return q * phases[..., None, :]
+
+
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary: QR of a complex Ginibre matrix, phase-fixed."""
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
+    return haar_from_ginibre(ginibre(d, rng))
 
 
 def random_unitary(d: int, seed) -> QuantumOperation:

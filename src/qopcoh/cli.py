@@ -163,7 +163,7 @@ def classify(in_file):
 )
 @click.option("--restarts", type=click.IntRange(1, 256), default=32, show_default=True)
 @click.option(
-    "--max-iter", type=click.IntRange(min=0), default=100, show_default=True, help="Step cap; at most 100 steps run."
+    "--max-iter", type=click.IntRange(0, 100), default=100, show_default=True, help="Cap on the descent's steps."
 )
 @click.option("--seed", type=SEED, default=None, help="Required when the convex roof runs.")
 @_report

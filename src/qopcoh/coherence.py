@@ -79,13 +79,15 @@ def uhlmann_fidelity(rho, sigma) -> float:
     s, s_eig = require_density(sigma, what="sigma")
     if r.shape != s.shape:
         raise DimensionMismatchError(f"shape mismatch {r.shape} vs {s.shape}")
-    return fidelity_from_roots(psd_root(r_eig), psd_root(s_eig))
+    return float(fidelity_from_roots(psd_root(r_eig), psd_root(s_eig)))
 
 
-def fidelity_from_roots(root_rho: np.ndarray, root_sigma: np.ndarray) -> float:
-    """Uhlmann fidelity from the square roots of two admitted states."""
+def fidelity_from_roots(root_rho: np.ndarray, root_sigma: np.ndarray):
+    """Uhlmann fidelity from the square roots of two admitted states, or one per pair of two broadcast stacks."""
     singular_values = np.linalg.svd(root_rho @ root_sigma, compute_uv=False)
-    return min(max(float(singular_values.sum() ** 2), 0.0), 1.0)
+    # float_power squares by pow(), as ``x ** 2`` does on one float: on an array ``** 2`` multiplies,
+    # which differs in the last bit about once in a thousand
+    return np.clip(np.float_power(singular_values.sum(axis=-1), 2), 0.0, 1.0)
 
 
 def incoherent_fidelity_ascent(root: np.ndarray, steps: int, target: float = 0.0) -> tuple:

@@ -15,9 +15,10 @@ from .channel import (
     HADAMARD,
     PAULI_X,
     ChoiState,
-    QuantumOperation,
-    haar_unitary,
-    random_cptp,
+    choi_matrices,
+    ginibre,
+    haar_from_ginibre,
+    is_cptp,
     rng_from,
 )
 from .coherence import (
@@ -29,11 +30,10 @@ from .coherence import (
     mf_single_qubit_unitary,
     verify_axioms,
 )
-from .exceptions import UnknownSuiteError
-from .linalg import max_abs
+from .exceptions import InputNotCPTPError, UnknownSuiteError
+from .linalg import devectorize, max_abs, require_unitary, vectorize
 from .superop import (
     CLASS_NAMES,
-    check_cptp_preservation,
     check_structural_relations,
     closure_harness,
     phase_out,
@@ -47,19 +47,15 @@ from .tolerances import ALGEBRA_ATOL, EIG_ATOL
 def mf_pure_brute_force(choi: ChoiState) -> float:
     """Minimum of sqrt(1 - F) over the incoherent basis states, by brute force.
 
-    Runs every basis state through the general Uhlmann fidelity, with the
-    root of the admitted Choi state taken once (a basis projector is its own
-    root); serves as the independent oracle for the closed-form single-qubit
-    measure.
+    Runs every basis state through the general Uhlmann fidelity, as one
+    stack, with the root of the admitted Choi state taken once (a basis
+    projector is its own root); serves as the independent oracle for the
+    closed-form single-qubit measure.  sqrt(max(1 - F, 0)) falls as F rises,
+    in floating point too, so its minimum is its value at the largest F.
     """
-    n = choi.d * choi.d
-    best = math.inf
-    for m in range(n):
-        basis = np.zeros((n, n), dtype=complex)
-        basis[m, m] = 1.0
-        f = fidelity_from_roots(choi.root, basis)
-        best = min(best, math.sqrt(max(1.0 - f, 0.0)))
-    return best
+    eye = np.eye(choi.d * choi.d, dtype=complex)
+    f = fidelity_from_roots(choi.root, eye[:, :, None] * eye[:, None, :])
+    return math.sqrt(max(1.0 - float(f.max()), 0.0))
 
 
 def _check(name: str, ok: bool, **details) -> dict:
@@ -82,26 +78,31 @@ def suite_theorem11(samples: int, seed) -> list:
 
 
 def suite_theorem12(samples: int, seed) -> list:
-    """Phase-out maps random CPTP channels to CPTP channels."""
+    """Phase-out maps random CPTP channels to CPTP channels.
+
+    The channels ``random_cptp`` draws, in its rng order, as stacks: one QR per environment size, one
+    admission of their Choi states, phase-out as one product with its matrix, one admission of the images.
+    """
     rng = rng_from(seed)
     checks = []
     for d, count in ((2, samples), (3, max(1, (samples * 2) // 5))):
-        worst_marginal = 0.0
-        worst_eig = 0.0
-        ok = True
+        draws = {}  # environment dimension -> its Ginibre matrices, in draw order
         for _ in range(count):
-            op = random_cptp(d, int(rng.integers(1, 4)), rng)
-            rep = check_cptp_preservation(op)
-            ok = ok and rep.ok
-            worst_marginal = max(worst_marginal, rep.marginal_residual)
-            worst_eig = min(worst_eig, rep.min_eigenvalue)
+            env = int(rng.integers(1, 4))
+            draws.setdefault(env, []).append(ginibre(d * env, rng))
+        stacks = [haar_from_ginibre(np.stack(z))[..., :d].reshape(len(z), env, d, d) for env, z in draws.items()]
+        inputs = ChoiState.admit_stack(np.concatenate([choi_matrices(k) for k in stacks]))
+        if not all(is_cptp(c).ok for c in inputs):
+            raise InputNotCPTPError(f"a drawn d={d} channel is not CPTP")
+        images = vectorize(np.stack([c.matrix for c in inputs])) @ phase_out(d).matrix.T
+        reports = [is_cptp(c) for c in ChoiState.admit_stack(devectorize(images, d * d))]
         checks.append(
             _check(
                 f"theorem12 dephased channels stay CPTP (d={d}, {count} channels)",
-                ok,
+                all(r.ok for r in reports),
                 channels=count,
-                max_marginal_residual=worst_marginal,
-                min_eigenvalue=worst_eig,
+                max_marginal_residual=max(0.0, *(r.marginal_residual for r in reports)),
+                min_eigenvalue=min(0.0, *(r.min_eigenvalue for r in reports)),
             )
         )
     return checks
@@ -150,10 +151,11 @@ def suite_corollary32(samples: int, seed) -> list:
     checks = []
     worst_gap = 0.0
     lo, hi = math.inf, -math.inf
-    for _ in range(samples):
-        u = haar_unitary(2, rng)
+    # the unitaries haar_unitary draws, admitted, and their Choi states formed and admitted, as stacks
+    unitaries = require_unitary(haar_from_ginibre(np.stack([ginibre(2, rng) for _ in range(samples)])), stacked=True)
+    for u, choi in zip(unitaries, ChoiState.admit_stack(choi_matrices(unitaries[:, None]))):
         closed = mf_single_qubit_unitary(u).value
-        brute = mf_pure_brute_force(QuantumOperation.from_unitary(u).choi)
+        brute = mf_pure_brute_force(choi)
         worst_gap = max(worst_gap, abs(closed - brute))
         lo, hi = min(lo, closed), max(hi, closed)
     checks.append(

@@ -199,6 +199,15 @@ class ClassificationReport:
     diso_residual: float
 
 
+@cache
+def _block_indices(d: int) -> tuple:
+    """Flat indices of the blocks M[off, on] and M[on, off] of a d^4 x d^4 matrix, built once per d."""
+    n = d**4
+    on = np.arange(0, n, d * d + 1)
+    off = np.setdiff1d(np.arange(n), on)
+    return (off[:, None] * n + on).ravel(), (on[:, None] * n + off).ravel()
+
+
 def classify(s: Superoperation) -> ClassificationReport:
     """Test the three membership conditions on the matrix representation.
 
@@ -208,12 +217,9 @@ def classify(s: Superoperation) -> ClassificationReport:
     with a 0/1 diagonal are exact, so these equal the product-form residuals
     bit for bit, without forming T or any d^4 x d^4 product.
     """
-    m = s.matrix
-    dd = s.d * s.d
-    on = np.zeros(dd * dd, dtype=bool)
-    on[:: dd + 1] = True
-    r_miso = max_abs(m[np.ix_(~on, on)])
-    r_star = max_abs(m[np.ix_(on, ~on)])
+    miso_block, star_block = _block_indices(s.d)
+    r_miso = max_abs(s.matrix.ravel()[miso_block])
+    r_star = max_abs(s.matrix.ravel()[star_block])
     in_miso = r_miso <= ADMISSION_ATOL
     in_star = r_star <= ADMISSION_ATOL
     return ClassificationReport(

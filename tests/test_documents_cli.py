@@ -474,8 +474,15 @@ class TestCliFailsClosed:
 
     @pytest.mark.parametrize(
         "extra",
-        [["--restarts", "-3"], ["--restarts", "0"], ["--restarts", "257"], ["--max-iter", "-1"], ["--seed", "-1"]],
-        ids=["restarts-negative", "restarts-zero", "restarts-over-cap", "max-iter", "seed"],
+        [
+            ["--restarts", "-3"],
+            ["--restarts", "0"],
+            ["--restarts", "257"],
+            ["--max-iter", "-1"],
+            ["--max-iter", "101"],
+            ["--seed", "-1"],
+        ],
+        ids=["restarts-negative", "restarts-zero", "restarts-over-cap", "max-iter", "max-iter-over-cap", "seed"],
     )
     def test_measure_out_of_range_options(self, tmp_path, extra):
         src = write_operation(tmp_path, "deph.json", dephasing_operation(2))

@@ -24,7 +24,7 @@ come four documents with finite entries past the 2^250 that admission
 allows: three superoperation documents with entries of 1e200 (Kraus on
 Choi, sandwich and matrix) and a Choi document holding the pair
 +-1.7e308, whose products would overflow.  ``classify`` or ``check`` must
-reject each with exit 2.  That makes 94 commands.
+reject each with exit 2.  That makes 95 commands.
 """
 
 import hashlib
@@ -82,6 +82,8 @@ def commands() -> list:
         "measure channel.json --method pure",
         "measure channel.json --method qubit-closed-form",
         "measure channel.json --method convex-roof",
+        # so does a step cap above the 100 steps the descent can take
+        "measure unitary-d2-dephased.json --method convex-roof --restarts 8 --seed 3 --max-iter 2000",
     ]
     # the suite choices, as listed in the help and in a usage error
     battery += ["verify --help", "verify --suite theorem99 --seed 1"]
