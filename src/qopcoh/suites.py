@@ -31,7 +31,7 @@ from .coherence import (
     verify_axioms,
 )
 from .exceptions import InputNotCPTPError, UnknownSuiteError
-from .linalg import devectorize, max_abs, require_unitary, vectorize
+from .linalg import devectorize, max_abs, vectorize
 from .superop import (
     CLASS_NAMES,
     check_structural_relations,
@@ -41,7 +41,7 @@ from .superop import (
     random_sandwich,
     sample_class_member,
 )
-from .tolerances import ALGEBRA_ATOL, EIG_ATOL
+from .tolerances import ADMISSION_ATOL, ALGEBRA_ATOL, EIG_ATOL
 
 
 def mf_pure_brute_force(choi: ChoiState) -> float:
@@ -151,8 +151,8 @@ def suite_corollary32(samples: int, seed) -> list:
     checks = []
     worst_gap = 0.0
     lo, hi = math.inf, -math.inf
-    # the unitaries haar_unitary draws, admitted, and their Choi states formed and admitted, as stacks
-    unitaries = require_unitary(haar_from_ginibre(np.stack([ginibre(2, rng) for _ in range(samples)])), stacked=True)
+    # the unitaries haar_unitary draws, as a stack, and their Choi states formed and admitted as one
+    unitaries = haar_from_ginibre(np.stack([ginibre(2, rng) for _ in range(samples)]))
     for u, choi in zip(unitaries, ChoiState.admit_stack(choi_matrices(unitaries[:, None]))):
         closed = mf_single_qubit_unitary(u).value
         brute = mf_pure_brute_force(choi)
@@ -171,7 +171,7 @@ def suite_corollary32(samples: int, seed) -> list:
     checks.append(
         _check(
             "corollary32 measure range within [sqrt2/2, sqrt3/2]",
-            lo >= SQRT2_OVER_2 - 1e-9 and hi <= SQRT3_OVER_2 + 1e-9,
+            lo >= SQRT2_OVER_2 - ADMISSION_ATOL and hi <= SQRT3_OVER_2 + ADMISSION_ATOL,
             min_observed=lo,
             max_observed=hi,
         )
@@ -182,12 +182,12 @@ def suite_corollary32(samples: int, seed) -> list:
     checks.append(
         _check(
             "corollary32 identity and X attain the lower endpoint",
-            max(gap_i, gap_x) <= 1e-12,
+            max(gap_i, gap_x) <= ALGEBRA_ATOL,
             identity_gap=gap_i,
             pauli_x_gap=gap_x,
         )
     )
-    checks.append(_check("corollary32 Hadamard attains the upper endpoint", gap_h <= 1e-12, gap=gap_h))
+    checks.append(_check("corollary32 Hadamard attains the upper endpoint", gap_h <= ALGEBRA_ATOL, gap=gap_h))
 
     phi_count = max(1, samples // 10)
     worst_phi = 0.0
@@ -198,7 +198,7 @@ def suite_corollary32(samples: int, seed) -> list:
     checks.append(
         _check(
             f"corollary33 maximally coherent operation scores sqrt3/2 ({phi_count} angle draws)",
-            worst_phi <= 1e-12,
+            worst_phi <= ALGEBRA_ATOL,
             max_gap=worst_phi,
         )
     )

@@ -1,9 +1,11 @@
 """Stacked admission and the suites that use it.
 
-An admission given a stack (..., n, n) checks every member in one pass; each
-member must come out bit for bit as its own one-matrix admission, and a
-failing member must be named.  The theorem12 and corollary32 suites admit
-their draws as stacks, so their check values are compared, bit for bit, with
+The finite, Hermitian and density admissions take a stack (..., n, n) and
+check every member in one pass; each member must come out bit for bit as its
+own one-matrix admission, with eigh's spectrum reversed, and a failing member
+must be named.  The unitary admission takes one matrix only.  The theorem12
+suite admits its channels' Choi states as stacks, and corollary32 its
+unitaries' Choi states, so their check values are compared, bit for bit, with
 a recomputation that takes one object at a time through the public API.
 """
 
@@ -26,7 +28,6 @@ from qopcoh.exceptions import (
     NotDensityMatrixError,
     NotFiniteError,
     NotHermitianError,
-    NotUnitaryError,
 )
 from qopcoh.linalg import require_density, require_finite, require_hermitian, require_unitary
 from qopcoh.suites import run_suite
@@ -49,11 +50,16 @@ def choi_stack(d: int, rng) -> np.ndarray:
 def test_each_member_is_admitted_as_one_matrix_would_be(d):
     stack = choi_stack(d, np.random.default_rng(100 + d))
     h, (w, v) = require_density(stack, stacked=True)
+    # the spectrum is eigh's, reversed: tied eigenvectors keep LAPACK's order, not a sort's
+    w_eigh, v_eigh = np.linalg.eigh(h)
+    assert (np.diff(w, axis=-1) <= 0).all()
+    assert bits(w) == bits(w_eigh[..., ::-1]) and bits(v) == bits(v_eigh[..., ::-1])
     states = ChoiState.admit_stack(stack)
     assert len(states) == len(stack)
     for k, member in enumerate(stack):
         h_k, (w_k, v_k) = require_density(member)
         assert bits(h[k]) == bits(h_k) and bits(w[k]) == bits(w_k) and bits(v[k]) == bits(v_k)
+        assert bits(v_k) == bits(np.linalg.eigh(h_k)[1][:, ::-1])
         one = ChoiState(member)
         assert bits(states[k].matrix) == bits(one.matrix) and states[k].d == one.d == d
         assert all(bits(a) == bits(b) for a, b in zip(states[k]._eig, one._eig))
@@ -70,10 +76,12 @@ def test_each_member_is_admitted_as_one_matrix_would_be(d):
 def test_unitary_and_hermitian_stacks_pass_through_unchanged():
     rng = np.random.default_rng(7)
     unitaries = np.stack([haar_unitary(3, rng) for _ in range(5)])
-    assert require_unitary(unitaries, stacked=True) is unitaries
+    assert require_finite(unitaries, stacked=True) is unitaries
     assert require_hermitian(unitaries + np.swapaxes(unitaries.conj(), -1, -2), stacked=True).shape == (5, 3, 3)
     with pytest.raises(DimensionMismatchError, match="ndim=3"):
         require_density(unitaries)  # a stack needs stacked=True
+    with pytest.raises(DimensionMismatchError, match="ndim=3"):
+        require_unitary(unitaries)  # and the unitary admission takes one matrix only
 
 
 def _spoil(kind: str, member: np.ndarray) -> None:
@@ -118,9 +126,6 @@ def test_a_failing_member_is_named_with_the_entry_points_error(kind, d):
 def test_finite_and_unitary_admissions_name_the_member():
     rng = np.random.default_rng(8)
     unitaries = np.stack([haar_unitary(2, rng) for _ in range(4)])
-    unitaries[2, 0, 0] += 1e-3
-    with pytest.raises(NotUnitaryError, match=r"^matrix \(member 2\) is not unitary"):
-        require_unitary(unitaries, stacked=True)
     unitaries[1, 1, 1] = np.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
