@@ -19,7 +19,7 @@ operation is incoherent when C is diagonal in the fixed |i alpha> basis.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .linalg import (
     partial_trace_out,
     psd_root,
     require_density,
+    require_finite,
     require_kraus,
     require_mixture,
     require_unitary,
@@ -66,18 +67,11 @@ def rng_from(seed) -> np.random.Generator:
 class ChoiState:
     """Trace-one PSD matrix on the d^2-dimensional input(x)output space; d is read off its size."""
 
-    def __init__(self, matrix, _admitted: tuple | None = None):
-        self.matrix, self._eig = _admitted or require_density(matrix, InvalidChoiError, "Choi matrix")
+    def __init__(self, matrix):
+        self.matrix, self._eig = require_density(matrix, InvalidChoiError, "Choi matrix")
         self.d = dimension(self.matrix.shape[0], 2, "Choi matrix")
         for a in (self.matrix, *self._eig):
             a.setflags(write=False)
-
-    @classmethod
-    def admit_stack(cls, matrices) -> list:
-        """Admit a stack (..., d^2, d^2) of Choi matrices at once; return one state per member, each a row of it."""
-        h, (w, v) = require_density(matrices, InvalidChoiError, "Choi matrix", stacked=True)
-        rows = zip(h.reshape(-1, *h.shape[-2:]), w.reshape(-1, w.shape[-1]), v.reshape(-1, *v.shape[-2:]))
-        return [cls(None, (hk, HermitianEig(wk, vk))) for hk, wk, vk in rows]
 
     @property
     def largest_eigenvalue(self) -> float:
@@ -113,11 +107,31 @@ class CptpReport:
     marginal_residual: float
 
 
+@cache
+def _maximally_mixed(d: int) -> np.ndarray:
+    """I/d, read-only, built once per d."""
+    m = np.eye(d) / d
+    m.setflags(write=False)
+    return m
+
+
+def cptp_report(matrices: np.ndarray, eigenvalues: np.ndarray) -> CptpReport:
+    """C >= 0 and tr_out(C) = I/d, both to the admission tolerance, for an admitted Choi matrix and its spectrum.
+
+    Takes a stack (..., d^2, d^2) and its spectra too; each field is then an array over the stack.
+    """
+    marginal = partial_trace_out(matrices, stacked=True)
+    d = marginal.shape[-1]
+    min_eig = eigenvalues[..., -1]
+    marginal = np.abs(marginal - _maximally_mixed(d)).max(axis=(-2, -1))
+    if matrices.ndim == 2:  # one matrix: Python floats, and so a Python bool
+        min_eig, marginal = float(min_eig), float(marginal)
+    return CptpReport((min_eig >= -ADMISSION_ATOL) & (marginal <= ADMISSION_ATOL), min_eig, marginal)
+
+
 def is_cptp(choi: ChoiState) -> CptpReport:
-    """C >= 0 and tr_out(C) = I/d, both to the admission tolerance."""
-    min_eig = float(choi._eig.eigenvalues[-1])
-    marginal = max_abs(partial_trace_out(choi.matrix) - np.eye(choi.d) / choi.d)
-    return CptpReport(min_eig >= -ADMISSION_ATOL and marginal <= ADMISSION_ATOL, min_eig, marginal)
+    """The CPTP verdict of one Choi state, from ``cptp_report``."""
+    return cptp_report(choi.matrix, choi._eig.eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -309,17 +323,32 @@ def random_unitary(d: int, seed) -> QuantumOperation:
     return QuantumOperation.from_unitary(haar_unitary(d, rng_from(seed)))
 
 
-def random_cptp(d: int, env_dim: int, seed) -> QuantumOperation:
-    """Random CPTP channel via Stinespring dilation.
+def kraus_from_ginibre(d: int, draws: list) -> list:
+    """Kraus stacks of random CPTP channels from Ginibre draws of side d * env, grouped by side.
 
-    Draws a Haar isometry V from the system into environment(x)system and
-    reads off Kraus operators K_e = (<e| (x) I) V.
+    Each draw gives a Haar isometry V from the system into environment(x)system (Stinespring) and the Kraus
+    operators K_e = (<e| (x) I) V.  Draws of one side take one QR and one admission.  Returns (draw indices,
+    read-only (m, env, d, d) stack) per side, in the order the sides first appear.
     """
+    groups = {}
+    for k, z in enumerate(draws):
+        groups.setdefault(len(z), []).append(k)
+    built = []
+    for n, index in groups.items():
+        isometries = haar_from_ginibre(np.stack([draws[k] for k in index]))[..., :d]
+        stack = np.ascontiguousarray(isometries.reshape(len(index), n // d, d, d))
+        stack = require_finite(stack, InvalidKrausError, "Kraus operator", stacked=True)
+        stack.setflags(write=False)
+        built.append((index, stack))
+    return built
+
+
+def random_cptp(d: int, env_dim: int, seed) -> QuantumOperation:
+    """Random CPTP channel via Stinespring dilation: ``kraus_from_ginibre`` of one draw."""
     if d < 2 or env_dim < 1:
         raise DimensionMismatchError("random_cptp requires d >= 2 and env_dim >= 1")
-    rng = rng_from(seed)
-    isometry = haar_unitary(d * env_dim, rng)[:, :d]
-    return QuantumOperation.from_kraus(isometry.reshape(env_dim, d, d))
+    [(_, stack)] = kraus_from_ginibre(d, [ginibre(d * env_dim, rng_from(seed))])
+    return QuantumOperation("kraus", kraus=stack[0])
 
 
 def random_incoherent_cptp(d: int, seed) -> QuantumOperation:

@@ -210,8 +210,9 @@ def mf_single_qubit_unitary(u) -> MeasureResult:
     |U[0,0]|^2/2 = cos^2(gamma/2)/2 and |U[0,1]|^2/2 = sin^2(gamma/2)/2;
     agrees with mf_pure on the Choi state to 1e-10.
     """
-    # Python's abs per entry: numpy's vectorized complex abs can differ in the last bit.
-    diag = np.array([abs(z) ** 2 for z in vectorize(require_unitary(u, dim=2))]) / 2
+    v = vectorize(require_unitary(u, dim=2))
+    # |z|^2 as Python's abs(z) ** 2 gives it, hypot then pow(): np.abs(v) ** 2 differs in the last bit
+    diag = np.float_power(np.hypot(v.real, v.imag), 2) / 2
     value = min(math.sqrt(max(1.0 - diag[0], 0.0)), math.sqrt(max(1.0 - diag[2], 0.0)))
     witness = divmod(_argmax_smallest_index(diag), 2)
     return MeasureResult(value=value, kind="closed_form_qubit", witness_index=witness)

@@ -192,7 +192,7 @@ def eig_hermitian(a) -> HermitianEig:
 
 
 def psd_root(eig: HermitianEig) -> np.ndarray:
-    """Hermitian square root from the spectrum of an admitted PSD matrix.
+    """Hermitian square root from the spectrum of an admitted PSD matrix, or of each in a stack.
 
     Eigenvalues at or below relative machine-noise scale (negative round-off
     included) are clamped to zero: taking square roots would amplify
@@ -200,9 +200,9 @@ def psd_root(eig: HermitianEig) -> np.ndarray:
     fidelity computations on rank-deficient states.
     """
     w, v = eig
-    noise_floor = 64 * np.finfo(float).eps * max(float(w[0]), 0.0)
+    noise_floor = 64 * np.finfo(float).eps * np.maximum(w[..., :1], 0.0)
     w = np.where(w <= noise_floor, 0.0, w)
-    s = (v * np.sqrt(w)) @ dagger(v)
+    s = (v * np.sqrt(w)[..., None, :]) @ dagger(v)
     return (s + dagger(s)) / 2.0
 
 
@@ -221,11 +221,11 @@ def dimension(size: int, power: int, what: str) -> int:
     return d
 
 
-def partial_trace_out(a) -> np.ndarray:
-    """Trace out the second (output) factor: B[i,j] = sum_a A[i*d+a, j*d+a]."""
-    m = as_complex_matrix(a)
+def partial_trace_out(a, stacked: bool = False) -> np.ndarray:
+    """Trace out the second (output) factor: B[i,j] = sum_a A[i*d+a, j*d+a]; with ``stacked``, of each in a stack."""
+    m = as_complex_matrix(a, stacked)
     d = dimension(require_square(m), 2, "partial trace input")
-    return np.trace(m.reshape(d, d, d, d), axis1=1, axis2=3)
+    return np.trace(m.reshape(*m.shape[:-2], d, d, d, d), axis1=-3, axis2=-1)
 
 
 def partial_trace_in(a) -> np.ndarray:

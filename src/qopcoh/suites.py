@@ -16,9 +16,10 @@ from .channel import (
     PAULI_X,
     ChoiState,
     choi_matrices,
+    cptp_report,
     ginibre,
     haar_from_ginibre,
-    is_cptp,
+    kraus_from_ginibre,
     rng_from,
 )
 from .coherence import (
@@ -30,32 +31,33 @@ from .coherence import (
     mf_single_qubit_unitary,
     verify_axioms,
 )
-from .exceptions import InputNotCPTPError, UnknownSuiteError
-from .linalg import devectorize, max_abs, vectorize
+from .exceptions import InputNotCPTPError, InvalidChoiError, UnknownSuiteError
+from .linalg import devectorize, max_abs, psd_root, require_density, vectorize
 from .superop import (
     CLASS_NAMES,
     check_structural_relations,
-    closure_harness,
+    closure_of,
     phase_out,
     phase_out_sandwich,
-    random_sandwich,
-    sample_class_member,
+    sample_superoperations,
 )
 from .tolerances import ADMISSION_ATOL, ALGEBRA_ATOL, EIG_ATOL
 
 
-def mf_pure_brute_force(choi: ChoiState) -> float:
+def mf_pure_brute_force(roots) -> np.ndarray:
     """Minimum of sqrt(1 - F) over the incoherent basis states, by brute force.
 
-    Runs every basis state through the general Uhlmann fidelity, as one
-    stack, with the root of the admitted Choi state taken once (a basis
+    Takes the root of an admitted Choi state, or a stack (..., n, n) of roots
+    (a ChoiState stands for its root), and runs every basis state of each
+    through the general Uhlmann fidelity as one stacked SVD (a basis
     projector is its own root); serves as the independent oracle for the
     closed-form single-qubit measure.  sqrt(max(1 - F, 0)) falls as F rises,
     in floating point too, so its minimum is its value at the largest F.
     """
-    eye = np.eye(choi.d * choi.d, dtype=complex)
-    f = fidelity_from_roots(choi.root, eye[:, :, None] * eye[:, None, :])
-    return math.sqrt(max(1.0 - float(f.max()), 0.0))
+    roots = roots.root if isinstance(roots, ChoiState) else roots
+    eye = np.eye(roots.shape[-1], dtype=complex)
+    f = fidelity_from_roots(roots[..., None, :, :], eye[:, :, None] * eye[:, None, :])
+    return np.sqrt(np.maximum(1.0 - f.max(axis=-1), 0.0))
 
 
 def _check(name: str, ok: bool, **details) -> dict:
@@ -80,41 +82,45 @@ def suite_theorem11(samples: int, seed) -> list:
 def suite_theorem12(samples: int, seed) -> list:
     """Phase-out maps random CPTP channels to CPTP channels.
 
-    The channels ``random_cptp`` draws, in its rng order, as stacks: one QR per environment size, one
-    admission of their Choi states, phase-out as one product with its matrix, one admission of the images.
+    The channels ``random_cptp`` draws, in its rng order, built by ``kraus_from_ginibre``; their Choi states and
+    phase-out images (one product with its matrix) are each admitted, and given CPTP verdicts, as one stack.
     """
     rng = rng_from(seed)
     checks = []
     for d, count in ((2, samples), (3, max(1, (samples * 2) // 5))):
-        draws = {}  # environment dimension -> its Ginibre matrices, in draw order
-        for _ in range(count):
-            env = int(rng.integers(1, 4))
-            draws.setdefault(env, []).append(ginibre(d * env, rng))
-        stacks = [haar_from_ginibre(np.stack(z))[..., :d].reshape(len(z), env, d, d) for env, z in draws.items()]
-        inputs = ChoiState.admit_stack(np.concatenate([choi_matrices(k) for k in stacks]))
-        if not all(is_cptp(c).ok for c in inputs):
+        draws = [ginibre(d * int(rng.integers(1, 4)), rng) for _ in range(count)]
+        chois = np.concatenate([choi_matrices(stack) for _, stack in kraus_from_ginibre(d, draws)])
+        h, (w, _) = require_density(chois, InvalidChoiError, "Choi matrix", stacked=True)
+        if not cptp_report(h, w).ok.all():
             raise InputNotCPTPError(f"a drawn d={d} channel is not CPTP")
-        images = vectorize(np.stack([c.matrix for c in inputs])) @ phase_out(d).matrix.T
-        reports = [is_cptp(c) for c in ChoiState.admit_stack(devectorize(images, d * d))]
+        images = devectorize(vectorize(h) @ phase_out(d).matrix.T, d * d)
+        h, (w, _) = require_density(images, InvalidChoiError, "Choi matrix", stacked=True)
+        reports = cptp_report(h, w)
         checks.append(
             _check(
                 f"theorem12 dephased channels stay CPTP (d={d}, {count} channels)",
-                all(r.ok for r in reports),
+                bool(reports.ok.all()),
                 channels=count,
-                max_marginal_residual=max(0.0, *(r.marginal_residual for r in reports)),
-                min_eigenvalue=min(0.0, *(r.min_eigenvalue for r in reports)),
+                max_marginal_residual=max(0.0, *reports.marginal_residual.tolist()),
+                min_eigenvalue=min(0.0, *reports.min_eigenvalue.tolist()),
             )
         )
     return checks
 
 
 def suite_theorem21(samples: int, seed) -> list:
-    """Closure of the three superoperation classes, plus structural relations."""
-    rng = rng_from(seed)
+    """Closure of the three superoperation classes, plus structural relations.
+
+    Every draw is taken first, in the order of one object at a time: 2 * samples members of each class, the eq. 2.4
+    sandwiches, then the eq. 2.5 MISO* members; ``sample_superoperations`` builds them as one batch.
+    """
+    per_class = 2 * samples
+    names = [name for name in CLASS_NAMES for _ in range(per_class)] + [None] * samples + ["miso_star"] * samples
+    drawn = sample_superoperations(names, 2, seed)
     checks = []
     intersection_ok = True
-    for name in CLASS_NAMES:
-        rep = closure_harness(name, samples, rng)
+    for k, name in enumerate(CLASS_NAMES):
+        rep = closure_of(name, drawn[k * per_class : (k + 1) * per_class])
         intersection_ok = intersection_ok and rep.intersection_consistent
         checks.append(
             _check(
@@ -125,23 +131,12 @@ def suite_theorem21(samples: int, seed) -> list:
             )
         )
     checks.append(_check("theorem21 diso equals miso intersection miso*", intersection_ok))
-
-    eq24_ok = True
-    for _ in range(samples):
-        rep = check_structural_relations(random_sandwich(2, rng))
-        eq24_ok = eq24_ok and rep.phaseout_after_is_miso and rep.phaseout_both_sides_is_miso
-    checks.append(
-        _check(f"theorem21 phase-out compositions are MISO ({samples} superoperations)", eq24_ok)
-    )
-
-    eq25_ok = True
-    for _ in range(samples):
-        member = sample_class_member("miso_star", 2, rng)
-        rep = check_structural_relations(member)
-        eq25_ok = eq25_ok and rep.input_in_miso_star and bool(rep.ok)
-    checks.append(
-        _check(f"theorem21 MISO* survives phase-out composition ({samples} members)", eq25_ok)
-    )
+    eq24 = [check_structural_relations(s) for s in drawn[3 * per_class : 3 * per_class + samples]]
+    eq24_ok = all(r.phaseout_after_is_miso and r.phaseout_both_sides_is_miso for r in eq24)
+    checks.append(_check(f"theorem21 phase-out compositions are MISO ({samples} superoperations)", eq24_ok))
+    eq25 = [check_structural_relations(s) for s in drawn[3 * per_class + samples :]]
+    eq25_ok = all(r.input_in_miso_star and bool(r.ok) for r in eq25)
+    checks.append(_check(f"theorem21 MISO* survives phase-out composition ({samples} members)", eq25_ok))
     return checks
 
 
@@ -149,15 +144,12 @@ def suite_corollary32(samples: int, seed) -> list:
     """Single-qubit closed form versus brute force, range, and extremes."""
     rng = rng_from(seed)
     checks = []
-    worst_gap = 0.0
-    lo, hi = math.inf, -math.inf
-    # the unitaries haar_unitary draws, as a stack, and their Choi states formed and admitted as one
+    # the unitaries haar_unitary draws, as a stack; their Choi states admitted, rooted and brute-forced as one
     unitaries = haar_from_ginibre(np.stack([ginibre(2, rng) for _ in range(samples)]))
-    for u, choi in zip(unitaries, ChoiState.admit_stack(choi_matrices(unitaries[:, None]))):
-        closed = mf_single_qubit_unitary(u).value
-        brute = mf_pure_brute_force(choi)
-        worst_gap = max(worst_gap, abs(closed - brute))
-        lo, hi = min(lo, closed), max(hi, closed)
+    _, eig = require_density(choi_matrices(unitaries[:, None]), InvalidChoiError, "Choi matrix", stacked=True)
+    closed = [mf_single_qubit_unitary(u).value for u in unitaries]
+    worst_gap = max(0.0, *np.abs(np.array(closed) - mf_pure_brute_force(psd_root(eig))).tolist())
+    lo, hi = min(closed), max(closed)
     checks.append(
         _check(
             f"theorem31 closed form matches brute-force oracle ({samples} unitaries)",

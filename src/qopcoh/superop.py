@@ -36,8 +36,9 @@ from .channel import (
     CptpReport,
     QuantumOperation,
     dephasing_operation,
+    ginibre,
     is_cptp,
-    random_cptp,
+    kraus_from_ginibre,
     random_incoherent_cptp,
     rng_from,
 )
@@ -52,7 +53,6 @@ from .linalg import (
     dagger,
     devectorize,
     dimension,
-    max_abs,
     require_finite,
     require_kraus,
     require_mixture,
@@ -200,12 +200,12 @@ class ClassificationReport:
 
 
 @cache
-def _block_indices(d: int) -> tuple:
-    """Flat indices of the blocks M[off, on] and M[on, off] of a d^4 x d^4 matrix, built once per d."""
+def _block_indices(d: int) -> np.ndarray:
+    """Flat indices of the blocks M[off, on] and M[on, off] of a d^4 x d^4 matrix, as two rows, built once per d."""
     n = d**4
     on = np.arange(0, n, d * d + 1)
     off = np.setdiff1d(np.arange(n), on)
-    return (off[:, None] * n + on).ravel(), (on[:, None] * n + off).ravel()
+    return np.stack([(off[:, None] * n + on).ravel(), (on[:, None] * n + off).ravel()])
 
 
 def classify(s: Superoperation) -> ClassificationReport:
@@ -215,21 +215,18 @@ def classify(s: Superoperation) -> ClassificationReport:
     diagonal (``on``), so max|MT - TMT| is max|M[off, on]|, max|TM - TMT| is
     max|M[on, off]|, and max|MT - TM| is the larger of the two.  Products
     with a 0/1 diagonal are exact, so these equal the product-form residuals
-    bit for bit, without forming T or any d^4 x d^4 product.
+    bit for bit, without forming T or any d^4 x d^4 product.  The samplers
+    and the closure harness classify a stack (k, d^4, d^4) of admitted
+    matrices held as one Superoperation; each field is then an array over it.
     """
-    miso_block, star_block = _block_indices(s.d)
-    r_miso = max_abs(s.matrix.ravel()[miso_block])
-    r_star = max_abs(s.matrix.ravel()[star_block])
-    in_miso = r_miso <= ADMISSION_ATOL
-    in_star = r_star <= ADMISSION_ATOL
-    return ClassificationReport(
-        in_miso=in_miso,
-        in_miso_star=in_star,
-        in_diso=in_miso and in_star,
-        miso_residual=r_miso,
-        miso_star_residual=r_star,
-        diso_residual=max(r_miso, r_star),
-    )
+    m = s.matrix
+    r = np.abs(m.reshape(*m.shape[:-2], -1).take(_block_indices(s.d), axis=-1)).max(axis=-1)
+    if r.ndim == 1:  # one matrix: Python floats, and so Python bools
+        r_miso, r_star = r.tolist()
+        residuals = (r_miso, r_star, max(r_miso, r_star))
+    else:
+        residuals = (*r.T, r.max(axis=-1))
+    return ClassificationReport(*(x <= ADMISSION_ATOL for x in residuals), *residuals)
 
 
 @dataclass(frozen=True)
@@ -287,16 +284,6 @@ def check_cptp_preservation(op: QuantumOperation) -> CptpReport:
 # Class-member sampling and the closure harness
 # ---------------------------------------------------------------------------
 
-def random_sandwich(d: int, rng) -> Superoperation:
-    """Sandwich of two random CPTP channels with small random environments."""
-    if d < 2:
-        raise DimensionMismatchError(f"random superoperations require d >= 2, got d={d}")
-    rng = rng_from(rng)
-    post = random_cptp(d, int(rng.integers(1, 3)), rng)
-    pre = random_cptp(d, int(rng.integers(1, 3)), rng)
-    return Superoperation.from_sandwich(post, pre)
-
-
 def random_incoherent_sandwich(d: int, rng) -> Superoperation:
     rng = rng_from(rng)
     return Superoperation.from_sandwich(
@@ -304,34 +291,58 @@ def random_incoherent_sandwich(d: int, rng) -> Superoperation:
     )
 
 
-def sample_class_member(name: str, d: int, rng) -> Superoperation:
-    """Draw a verified member of one of the three superoperation classes.
+def sample_superoperations(names, d: int, rng) -> list:
+    """Draw one superoperation per entry of ``names``: a random sandwich for None, else a verified class member.
 
-    MISO members apply phase-out after a random sandwich (or are
-    sandwiches of incoherent channels), MISO* members apply phase-out
-    first, DISO members apply it on both sides.  One draw is enough: each
-    construction is an exact member of its class, since phase-out is a 0/1
-    mask and an incoherent Kraus operator maps basis states to basis states.
-    The classifier still re-checks the draw, and a failed check raises.
+    Takes every rng draw first, entry after entry (the sandwich's two halves, random CPTP channels with environment 1
+    or 2; for miso a branch, and on its incoherent branch two incoherent channels), then builds them all with one
+    ``kraus_from_ginibre``.  MISO members apply phase-out after the sandwich (or are sandwiches of incoherent
+    channels), MISO* members apply it first, DISO members on both sides.  Each construction is an exact member of its
+    class, as phase-out is a 0/1 mask and an incoherent Kraus operator maps basis states to basis states; the
+    classifier still re-checks the members, in one call over their admitted stack, and a failed check raises.
     """
-    if name not in CLASS_NAMES:
-        raise ValueError(f"unknown class {name!r}; expected one of {CLASS_NAMES}")
+    if d < 2:
+        raise DimensionMismatchError(f"random superoperations require d >= 2, got d={d}")
+    unknown = [name for name in names if name is not None and name not in CLASS_NAMES]
+    if unknown:
+        raise ValueError(f"unknown class {unknown[0]!r}; expected one of {CLASS_NAMES}")
     rng = rng_from(rng)
-    theta = phase_out(d)
-    base = random_sandwich(d, rng)
-    if name == "miso":
-        candidate = (
-            compose(theta, base)
-            if rng.uniform() < 0.5
-            else random_incoherent_sandwich(d, rng)
-        )
-    elif name == "miso_star":
-        candidate = compose(base, theta)
-    else:
-        candidate = compose(theta, compose(base, theta))
-    if not getattr(classify(candidate), f"in_{name}"):
-        raise GeneratorExhaustedError(f"the sampled {name} candidate failed its class check")
-    return candidate
+    ginibres, incoherent = [], {}
+    for k, name in enumerate(names):
+        ginibres += [ginibre(d * int(rng.integers(1, 3)), rng) for _ in range(2)]  # post, then pre
+        if name == "miso" and not rng.uniform() < 0.5:
+            incoherent[k] = random_incoherent_sandwich(d, rng)
+    halves = [None] * len(ginibres)
+    for index, stack in kraus_from_ginibre(d, ginibres):
+        for k, kraus in zip(index, stack):
+            halves[k] = QuantumOperation("kraus", kraus=kraus)
+    sandwiches = zip(halves[0::2], halves[1::2])  # (post, pre) per entry
+    drawn = [incoherent.get(k) or Superoperation.from_sandwich(*pair) for k, pair in enumerate(sandwiches)]
+    classed = [k for k, name in enumerate(names) if name is not None]
+    if not classed:
+        return drawn
+    theta = phase_out(d).matrix
+    phased = {"miso": lambda m: theta @ m, "miso_star": lambda m: m @ theta, "diso": lambda m: theta @ (m @ theta)}
+    matrices = [drawn[k].matrix if k in incoherent else phased[names[k]](drawn[k].matrix) for k in classed]
+    stack = require_finite(np.stack(matrices), what="superoperation matrix", stacked=True)
+    stack.setflags(write=False)
+    verdict = classify(Superoperation(d, "matrix", matrix=stack))
+    for j, k in enumerate(classed):  # a verdict field may also be one value for the whole stack
+        if not np.broadcast_to(getattr(verdict, f"in_{names[k]}"), len(classed))[j]:
+            raise GeneratorExhaustedError(f"the sampled {names[k]} candidate failed its class check")
+        if k not in incoherent:
+            drawn[k] = Superoperation(d, "matrix", matrix=stack[j])
+    return drawn
+
+
+def random_sandwich(d: int, rng) -> Superoperation:
+    """Sandwich of two random CPTP channels with small random environments."""
+    return sample_superoperations([None], d, rng)[0]
+
+
+def sample_class_member(name: str, d: int, rng) -> Superoperation:
+    """Draw a verified member of one of the three superoperation classes (see ``sample_superoperations``)."""
+    return sample_superoperations([name], d, rng)[0]
 
 
 COMBINATION_WEIGHTS = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -359,33 +370,37 @@ class ClosureReport:
 
 
 def closure_harness(name: str, samples: int, seed, d: int = 2) -> ClosureReport:
-    """Check closure of a superoperation class under composition and mixing.
-
-    Draws ``samples`` pairs of verified class members; composes them and
-    combines them convexly at the fixed weight grid, classifying every
-    result.  Also records whether the de-phase incoherent verdict always
-    agrees with the commutation form of the paper, M T = T M.  With no pairs
-    it would pass without checking anything, so ``samples`` must be at least 1.
-    """
+    """``closure_of`` on ``samples`` pairs of members drawn from ``seed``; at least 1, as no pairs check nothing."""
     if name not in CLASS_NAMES:
         raise ValueError(f"unknown class {name!r}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    rng = rng_from(seed)
-    report = ClosureReport(class_name=name, pairs=samples)
+    return closure_of(name, sample_superoperations([name] * (2 * samples), d, seed))
+
+
+def closure_of(name: str, members: list) -> ClosureReport:
+    """Closure of a class under composition and mixing, on the pairs of its members (0, 1), (2, 3), ...
+
+    A pair's composition and convex combinations at the weight grid form one (6, d^4, d^4) stack, admitted once and
+    classified in one call.  The de-phase incoherent verdicts are compared with the paper's commutation form
+    M T = T M, a batched matrix product: the one check that does not read ``classify``'s index sets, so "diso equals
+    miso intersection miso*" fails only if those sets are wrong.  A mask-form commutator would share them.
+    """
+    d = members[0].d
     theta = phase_out(d).matrix
-    for i in range(samples):
-        s1 = sample_class_member(name, d, rng)
-        s2 = sample_class_member(name, d, rng)
-        candidates = [("compose", compose(s1, s2))]
-        for p in COMBINATION_WEIGHTS:
-            candidates.append((f"convex p={p}", convex_combine([p, 1.0 - p], [s1, s2])))
-        for kind, candidate in candidates:
-            verdict = classify(candidate)
-            report.max_residual = max(report.max_residual, getattr(verdict, f"{name}_residual"))
-            if not getattr(verdict, f"in_{name}"):
-                report.violations.append(ClosureViolation(name, i, kind, verdict))
-            m = candidate.matrix
-            if verdict.in_diso != (max_abs(m @ theta - theta @ m) <= ADMISSION_ATOL):
-                report.intersection_consistent = False
+    weights = np.array(COMBINATION_WEIGHTS)[:, None, None]
+    kinds = ["compose", *(f"convex p={p}" for p in COMBINATION_WEIGHTS)]
+    report = ClosureReport(class_name=name, pairs=len(members) // 2)
+    for i in range(report.pairs):
+        m1, m2 = members[2 * i].matrix, members[2 * i + 1].matrix
+        candidates = np.concatenate([(m1 @ m2)[None], weights * m1 + (1.0 - weights) * m2])
+        stack = require_finite(candidates, what="superoperation matrix", stacked=True)
+        verdict = classify(Superoperation(d, "matrix", matrix=stack))
+        report.max_residual = max(report.max_residual, float(np.max(getattr(verdict, f"{name}_residual"))))
+        in_class = np.broadcast_to(getattr(verdict, f"in_{name}"), len(kinds))
+        for k in np.flatnonzero(~in_class):
+            fields = (np.broadcast_to(v, in_class.shape)[k].item() for v in vars(verdict).values())
+            report.violations.append(ClosureViolation(name, i, kinds[k], ClassificationReport(*fields)))
+        commutes = np.abs(stack @ theta - theta @ stack).max(axis=(-2, -1)) <= ADMISSION_ATOL
+        report.intersection_consistent &= bool((verdict.in_diso == commutes).all())
     return report

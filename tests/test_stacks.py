@@ -4,8 +4,9 @@ The finite, Hermitian and density admissions take a stack (..., n, n) and
 check every member in one pass; each member must come out bit for bit as its
 own one-matrix admission, with eigh's spectrum reversed, and a failing member
 must be named.  The unitary admission takes one matrix only.  The theorem12
-suite admits its channels' Choi states as stacks, and corollary32 its
-unitaries' Choi states, so their check values are compared, bit for bit, with
+suite admits its channels' Choi states as stacks, corollary32 its unitaries'
+Choi states, and theorem21 builds its draws, and each pair's closure
+candidates, as stacks; so their check values are compared, bit for bit, with
 a recomputation that takes one object at a time through the public API.
 """
 
@@ -20,7 +21,16 @@ import numpy as np
 import pytest
 
 import qopcoh
-from qopcoh.channel import HADAMARD, PAULI_X, ChoiState, QuantumOperation, haar_unitary, random_cptp
+from qopcoh import suites, superop
+from qopcoh.channel import (
+    HADAMARD,
+    PAULI_X,
+    ChoiState,
+    QuantumOperation,
+    haar_unitary,
+    random_cptp,
+    random_incoherent_cptp,
+)
 from qopcoh.coherence import SQRT3_OVER_2, fidelity_from_roots, max_coherent_operation, mf_pure, mf_single_qubit_unitary
 from qopcoh.exceptions import (
     DimensionMismatchError,
@@ -29,9 +39,24 @@ from qopcoh.exceptions import (
     NotFiniteError,
     NotHermitianError,
 )
-from qopcoh.linalg import require_density, require_finite, require_hermitian, require_unitary
+from qopcoh.linalg import max_abs, require_density, require_finite, require_hermitian, require_unitary, vectorize
 from qopcoh.suites import run_suite
-from qopcoh.superop import apply, check_cptp_preservation, phase_out
+from qopcoh.superop import (
+    CLASS_NAMES,
+    COMBINATION_WEIGHTS,
+    ClosureViolation,
+    Superoperation,
+    apply,
+    check_cptp_preservation,
+    check_structural_relations,
+    classify,
+    closure_harness,
+    closure_of,
+    compose,
+    convex_combine,
+    phase_out,
+    sample_superoperations,
+)
 
 
 def bits(a) -> bytes:
@@ -54,23 +79,23 @@ def test_each_member_is_admitted_as_one_matrix_would_be(d):
     w_eigh, v_eigh = np.linalg.eigh(h)
     assert (np.diff(w, axis=-1) <= 0).all()
     assert bits(w) == bits(w_eigh[..., ::-1]) and bits(v) == bits(v_eigh[..., ::-1])
-    states = ChoiState.admit_stack(stack)
-    assert len(states) == len(stack)
     for k, member in enumerate(stack):
         h_k, (w_k, v_k) = require_density(member)
         assert bits(h[k]) == bits(h_k) and bits(w[k]) == bits(w_k) and bits(v[k]) == bits(v_k)
         assert bits(v_k) == bits(np.linalg.eigh(h_k)[1][:, ::-1])
         one = ChoiState(member)
-        assert bits(states[k].matrix) == bits(one.matrix) and states[k].d == one.d == d
-        assert all(bits(a) == bits(b) for a, b in zip(states[k]._eig, one._eig))
-        assert not any(a.flags.writeable for a in (states[k].matrix, *states[k]._eig))
+        assert bits(h[k]) == bits(one.matrix) and one.d == d
+        assert bits(w[k]) == bits(one._eig.eigenvalues) and bits(v[k]) == bits(one._eig.eigenvectors)
+        assert not any(a.flags.writeable for a in (one.matrix, *one._eig))
     # the tied spectra really are tied
     assert (w[-2] == w[-2][0]).all() and (w[-1][1:] == 0).all()
     # any leading axes are read in row-major order; one matrix is a stack of one
-    grid = ChoiState.admit_stack(stack[:10].reshape(2, 5, d * d, d * d))
-    assert [bits(s.matrix) for s in grid] == [bits(s.matrix) for s in states[:10]]
-    assert [bits(s.matrix) for s in ChoiState.admit_stack(stack[3])] == [bits(states[3].matrix)]
-    assert ChoiState.admit_stack(np.zeros((0, d * d, d * d))) == []
+    n = d * d
+    h_grid, (w_grid, v_grid) = require_density(stack[:10].reshape(2, 5, n, n), stacked=True)
+    assert bits(h_grid) == bits(h[:10]) and bits(w_grid) == bits(w[:10]) and bits(v_grid) == bits(v[:10])
+    h_3, (w_3, v_3) = require_density(stack[3], stacked=True)
+    assert bits(h_3) == bits(h[3]) and bits(w_3) == bits(w[3]) and bits(v_3) == bits(v[3])
+    assert require_density(np.zeros((0, n, n)), stacked=True)[0].shape == (0, n, n)
 
 
 def test_unitary_and_hermitian_stacks_pass_through_unchanged():
@@ -115,7 +140,7 @@ def test_a_failing_member_is_named_with_the_entry_points_error(kind, d):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidChoiError, match=f"^Choi matrix \\(member 5\\) {DEFECTS[kind]}"):
-            ChoiState.admit_stack(stack)
+            require_density(stack, InvalidChoiError, "Choi matrix", stacked=True)  # as the suites admit their draws
         with pytest.raises(NotDensityMatrixError, match=f"^state \\(member 5\\) {DEFECTS[kind]}"):
             require_density(stack, stacked=True)
         grid = stack[:10].reshape(2, 5, d * d, d * d)  # more than one leading axis: the index names every axis
@@ -196,3 +221,100 @@ def test_import_loads_no_scipy_or_hypothesis():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# theorem21: the batched draws and closure candidates against one object at a time
+# ---------------------------------------------------------------------------
+
+
+def cptp_one_at_a_time(rng) -> QuantumOperation:
+    """A random CPTP channel with environment 1 or 2, from its own Haar isometry."""
+    env = int(rng.integers(1, 3))
+    return QuantumOperation.from_kraus(haar_unitary(2 * env, rng)[:, :2].reshape(env, 2, 2))
+
+
+def member_one_at_a_time(name, rng) -> Superoperation:
+    """A random sandwich (name None) or a class member, drawn and built one object at a time."""
+    theta = phase_out(2)
+    base = Superoperation.from_sandwich(cptp_one_at_a_time(rng), cptp_one_at_a_time(rng))
+    if name == "miso":
+        if rng.uniform() < 0.5:
+            return compose(theta, base)
+        return Superoperation.from_sandwich(random_incoherent_cptp(2, rng), random_incoherent_cptp(2, rng))
+    if name == "miso_star":
+        return compose(base, theta)
+    return base if name is None else compose(theta, compose(base, theta))
+
+
+def closure_one_at_a_time(name: str, members: list) -> tuple:
+    """(violations, max residual, intersection verdict), composing, mixing and classifying one candidate at a time."""
+    theta = phase_out(2).matrix
+    violations, worst, consistent = [], 0.0, True
+    for i in range(len(members) // 2):
+        s1, s2 = members[2 * i], members[2 * i + 1]
+        candidates = [("compose", compose(s1, s2))]
+        candidates += [(f"convex p={p}", convex_combine([p, 1.0 - p], [s1, s2])) for p in COMBINATION_WEIGHTS]
+        for kind, candidate in candidates:
+            verdict = classify(candidate)
+            worst = max(worst, getattr(verdict, f"{name}_residual"))
+            if not getattr(verdict, f"in_{name}"):
+                violations.append(ClosureViolation(name, i, kind, verdict))
+            m = candidate.matrix
+            consistent = consistent and verdict.in_diso == (max_abs(m @ theta - theta @ m) <= 1e-9)
+    return violations, worst, consistent
+
+
+@pytest.mark.parametrize("samples", [1, 3])
+@pytest.mark.parametrize("seed", range(20))
+def test_theorem21_equals_a_per_object_recomputation(seed, samples, monkeypatch):
+    # the report values do not depend on the draws (every closure residual is exactly 0), so the
+    # superoperations the suite checks are compared too, in the order it checks them
+    rng = np.random.default_rng(seed)
+    groups = [[member_one_at_a_time(name, rng) for _ in range(2 * samples)] for name in CLASS_NAMES]
+    groups += [[member_one_at_a_time(name, rng) for _ in range(samples)] for name in (None, "miso_star")]
+    closures = [closure_one_at_a_time(name, members) for name, members in zip(CLASS_NAMES, groups)]
+    eq24, eq25 = ([check_structural_relations(s) for s in group] for group in groups[3:])
+    expected = [(not violations and ok, len(violations), worst) for violations, worst, ok in closures]
+    expected.append((all(ok for _, _, ok in closures),))
+    expected.append((all(r.phaseout_after_is_miso and r.phaseout_both_sides_is_miso for r in eq24),))
+    expected.append((all(r.input_in_miso_star and r.ok for r in eq25),))
+    seen = []
+    monkeypatch.setattr(suites, "closure_of", lambda name, members: seen.extend(members) or closure_of(name, members))
+    monkeypatch.setattr(suites, "check_structural_relations", lambda s: seen.append(s) or check_structural_relations(s))
+    got = [(c["pass"], *c["details"].values()) for c in run_suite("theorem21", samples, seed)]
+    assert [tuple(map(repr, g)) for g in got] == [tuple(map(repr, e)) for e in expected]
+    assert [bits(s.matrix) for s in seen] == [bits(s.matrix) for group in groups for s in group]
+
+
+@pytest.mark.parametrize("name", CLASS_NAMES)
+def test_closure_harness_equals_a_per_object_recomputation(name, monkeypatch):
+    rng = np.random.default_rng(33)
+    members = [member_one_at_a_time(name, rng) for _ in range(30)]
+    expected = closure_one_at_a_time(name, members)
+    seen = []
+    monkeypatch.setattr(superop, "closure_of", lambda name, members: seen.extend(members) or closure_of(name, members))
+    rep = closure_harness(name, 15, seed=33)
+    assert repr((rep.violations, rep.max_residual, rep.intersection_consistent)) == repr(expected)
+    assert [bits(s.matrix) for s in seen] == [bits(s.matrix) for s in members]
+
+
+def test_intersection_check_does_not_read_classify_index_sets(monkeypatch):
+    # the commutator M T - T M is a matrix product, so index sets that misplace the blocks make
+    # classify disagree with it; a commutator read through the same index sets would agree with them
+    members = sample_superoperations(["diso"] * 6, 2, 35)
+    assert closure_of("diso", members).intersection_consistent
+    diagonal = np.arange(0, 16 * 16, 16 + 1)
+    monkeypatch.setattr(superop, "_block_indices", lambda d: np.stack([diagonal, diagonal]))
+    assert not closure_of("diso", members).intersection_consistent
+
+
+def test_closed_form_squares_moduli_as_python_abs_does():
+    # the closed form squares |U[a, i]| as Python's abs(z) ** 2 would, entry by entry; numpy's
+    # np.abs(z) ** 2 differs in the last bit on about a third of the entries, which moves the value
+    rng = np.random.default_rng(2000)
+    for _ in range(2000):
+        u = haar_unitary(2, rng)
+        diag = [abs(z) ** 2 / 2 for z in vectorize(u)]
+        value = min(math.sqrt(max(1.0 - diag[0], 0.0)), math.sqrt(max(1.0 - diag[2], 0.0)))
+        assert repr(mf_single_qubit_unitary(u).value) == repr(value)

@@ -5,15 +5,17 @@ Usage:
     python tools/same_outputs.py PARENT_REF
 
 Exports PARENT_REF with ``git archive`` into a temporary directory and runs
-the same commands against it and against this checkout's working tree:
+the same 153 commands against it and against this checkout's working tree:
 ``tools/cli_battery.py``, ``tools/roof_probe.py``, ``verify --suite all
---samples 200 --seed 1`` and ``verify --suite axioms --samples S --seed K``
-for S in 1, 10 and 200 and K from 1 to 20.  The two tools are this
-checkout's copies, so only the package differs between the runs.
-Prints a unified diff of the two outputs, exits 1 on any difference and 0
-otherwise, and deletes the temporary directory either way.  Uses the
-standard library only; each command runs in its own interpreter with BLAS
-pinned to one thread.  It takes about 80 s on a 2-core x86 host.
+--samples 200 --seed 1``, ``verify --suite axioms --samples S --seed K``
+for S in 1, 10 and 200 and K from 1 to 20, and ``verify --suite X
+--samples S --seed K`` for X in theorem12, corollary32 and theorem21, S in
+1, 3 and 16 and K from 1 to 10.  The two tools are this checkout's copies,
+so only the package differs between the runs.  Prints a unified diff of
+the two outputs, exits 1 on any difference and 0 otherwise, and deletes the
+temporary directory either way.  Uses the standard library only; each
+command runs in its own interpreter with BLAS pinned to one thread.  It
+takes about 150 s on a 2-core x86 host.
 """
 
 import difflib
@@ -36,10 +38,12 @@ def commands(root: Path, workdir: Path) -> list:
         ("roof_probe", [sys.executable, str(HERE / "roof_probe.py"), str(root)], None),
         ("verify --suite all --samples 200 --seed 1", [*verify, "--suite", "all", "--samples", "200", "--seed", "1"], root),
     ]
-    for samples in (1, 10, 200):
-        for seed in range(1, 21):
-            args = ["--suite", "axioms", "--samples", str(samples), "--seed", str(seed)]
-            runs.append((f"verify {' '.join(args)}", [*verify, *args], root))
+    suites = [("axioms", samples, seed) for samples in (1, 10, 200) for seed in range(1, 21)]
+    for suite in ("theorem12", "corollary32", "theorem21"):
+        suites += [(suite, samples, seed) for samples in (1, 3, 16) for seed in range(1, 11)]
+    for suite, samples, seed in suites:
+        args = ["--suite", suite, "--samples", str(samples), "--seed", str(seed)]
+        runs.append((f"verify {' '.join(args)}", [*verify, *args], root))
     return runs
 
 
