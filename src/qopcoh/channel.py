@@ -324,31 +324,29 @@ def random_unitary(d: int, seed) -> QuantumOperation:
 
 
 def kraus_from_ginibre(d: int, draws: list) -> list:
-    """Kraus stacks of random CPTP channels from Ginibre draws of side d * env, grouped by side.
+    """Kraus stacks of random CPTP channels from Ginibre draws of side d * env, one per draw, in draw order.
 
     Each draw gives a Haar isometry V from the system into environment(x)system (Stinespring) and the Kraus
-    operators K_e = (<e| (x) I) V.  Draws of one side take one QR and one admission.  Returns (draw indices,
-    read-only (m, env, d, d) stack) per side, in the order the sides first appear.
+    operators K_e = (<e| (x) I) V.  Draws of one side take one QR and one admission.  Returns one read-only
+    (env, d, d) stack per draw.
     """
-    groups = {}
-    for k, z in enumerate(draws):
-        groups.setdefault(len(z), []).append(k)
-    built = []
-    for n, index in groups.items():
+    stacks = {}
+    for n in dict.fromkeys(len(z) for z in draws):  # each side once
+        index = [k for k, z in enumerate(draws) if len(z) == n]
         isometries = haar_from_ginibre(np.stack([draws[k] for k in index]))[..., :d]
         stack = np.ascontiguousarray(isometries.reshape(len(index), n // d, d, d))
         stack = require_finite(stack, InvalidKrausError, "Kraus operator", stacked=True)
         stack.setflags(write=False)
-        built.append((index, stack))
-    return built
+        stacks.update(zip(index, stack))
+    return [stacks[k] for k in range(len(draws))]
 
 
 def random_cptp(d: int, env_dim: int, seed) -> QuantumOperation:
     """Random CPTP channel via Stinespring dilation: ``kraus_from_ginibre`` of one draw."""
     if d < 2 or env_dim < 1:
         raise DimensionMismatchError("random_cptp requires d >= 2 and env_dim >= 1")
-    [(_, stack)] = kraus_from_ginibre(d, [ginibre(d * env_dim, rng_from(seed))])
-    return QuantumOperation("kraus", kraus=stack[0])
+    [stack] = kraus_from_ginibre(d, [ginibre(d * env_dim, rng_from(seed))])
+    return QuantumOperation("kraus", kraus=stack)
 
 
 def random_incoherent_cptp(d: int, seed) -> QuantumOperation:

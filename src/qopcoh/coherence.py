@@ -377,6 +377,8 @@ def mf_convex_roof(
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be at least 0, got {max_iter}")
     choi = op.choi
     if choi.is_pure():
         return mf_pure(op)

@@ -89,7 +89,7 @@ def suite_theorem12(samples: int, seed) -> list:
     checks = []
     for d, count in ((2, samples), (3, max(1, (samples * 2) // 5))):
         draws = [ginibre(d * int(rng.integers(1, 4)), rng) for _ in range(count)]
-        chois = np.concatenate([choi_matrices(stack) for _, stack in kraus_from_ginibre(d, draws)])
+        chois = np.stack([choi_matrices(stack) for stack in kraus_from_ginibre(d, draws)])
         h, (w, _) = require_density(chois, InvalidChoiError, "Choi matrix", stacked=True)
         if not cptp_report(h, w).ok.all():
             raise InputNotCPTPError(f"a drawn d={d} channel is not CPTP")

@@ -20,7 +20,8 @@ sandwich form (dephase outputs, dephase inputs) and its Kraus form
 ``phase_out(d)`` is built once per d, and it and its arrays are read-only.
 
 Membership tests, with T the phase-out matrix and M the superoperation
-matrix:
+matrix, read off the blocks of M that T splits: by ``classify`` for one
+Superoperation, and by the sampler and the closure harness for their stacks:
 
 * nongenerating (MISO):      M T = T M T
 * nonactivating (MISO*):     T M = T M T
@@ -185,6 +186,7 @@ def convex_combine(weights, sops) -> Superoperation:
 
 
 CLASS_NAMES = ("miso", "miso_star", "diso")
+_CLASS_BLOCKS = {"miso": [0], "miso_star": [1], "diso": [0, 1]}  # a class residual: max over these _block_residuals
 
 
 @dataclass(frozen=True)
@@ -208,6 +210,11 @@ def _block_indices(d: int) -> np.ndarray:
     return np.stack([(off[:, None] * n + on).ravel(), (on[:, None] * n + off).ravel()])
 
 
+def _block_residuals(matrices: np.ndarray, d: int) -> np.ndarray:
+    """max|M[off, on]| and max|M[on, off]| on the last axis, for one d^4 x d^4 matrix or each of a stack."""
+    return np.abs(matrices.reshape(*matrices.shape[:-2], -1).take(_block_indices(d), axis=-1)).max(axis=-1)
+
+
 def classify(s: Superoperation) -> ClassificationReport:
     """Test the three membership conditions on the matrix representation.
 
@@ -215,17 +222,10 @@ def classify(s: Superoperation) -> ClassificationReport:
     diagonal (``on``), so max|MT - TMT| is max|M[off, on]|, max|TM - TMT| is
     max|M[on, off]|, and max|MT - TM| is the larger of the two.  Products
     with a 0/1 diagonal are exact, so these equal the product-form residuals
-    bit for bit, without forming T or any d^4 x d^4 product.  The samplers
-    and the closure harness classify a stack (k, d^4, d^4) of admitted
-    matrices held as one Superoperation; each field is then an array over it.
+    bit for bit, without forming T or any d^4 x d^4 product.
     """
-    m = s.matrix
-    r = np.abs(m.reshape(*m.shape[:-2], -1).take(_block_indices(s.d), axis=-1)).max(axis=-1)
-    if r.ndim == 1:  # one matrix: Python floats, and so Python bools
-        r_miso, r_star = r.tolist()
-        residuals = (r_miso, r_star, max(r_miso, r_star))
-    else:
-        residuals = (*r.T, r.max(axis=-1))
+    r_miso, r_star = _block_residuals(s.matrix, s.d).tolist()
+    residuals = (r_miso, r_star, max(r_miso, r_star))
     return ClassificationReport(*(x <= ADMISSION_ATOL for x in residuals), *residuals)
 
 
@@ -297,9 +297,9 @@ def sample_superoperations(names, d: int, rng) -> list:
     Takes every rng draw first, entry after entry (the sandwich's two halves, random CPTP channels with environment 1
     or 2; for miso a branch, and on its incoherent branch two incoherent channels), then builds them all with one
     ``kraus_from_ginibre``.  MISO members apply phase-out after the sandwich (or are sandwiches of incoherent
-    channels), MISO* members apply it first, DISO members on both sides.  Each construction is an exact member of its
-    class, as phase-out is a 0/1 mask and an incoherent Kraus operator maps basis states to basis states; the
-    classifier still re-checks the members, in one call over their admitted stack, and a failed check raises.
+    channels), MISO* members apply it first, DISO members on both sides, as the 0/1 diagonal mask it is (bit-equal to
+    the products with its matrix).  Each construction is an exact member of its class, as an incoherent Kraus operator
+    maps basis states to basis states; the block residuals of their admitted stack re-check them, and a failure raises.
     """
     if d < 2:
         raise DimensionMismatchError(f"random superoperations require d >= 2, got d={d}")
@@ -312,23 +312,20 @@ def sample_superoperations(names, d: int, rng) -> list:
         ginibres += [ginibre(d * int(rng.integers(1, 3)), rng) for _ in range(2)]  # post, then pre
         if name == "miso" and not rng.uniform() < 0.5:
             incoherent[k] = random_incoherent_sandwich(d, rng)
-    halves = [None] * len(ginibres)
-    for index, stack in kraus_from_ginibre(d, ginibres):
-        for k, kraus in zip(index, stack):
-            halves[k] = QuantumOperation("kraus", kraus=kraus)
+    halves = [QuantumOperation("kraus", kraus=kraus) for kraus in kraus_from_ginibre(d, ginibres)]
     sandwiches = zip(halves[0::2], halves[1::2])  # (post, pre) per entry
     drawn = [incoherent.get(k) or Superoperation.from_sandwich(*pair) for k, pair in enumerate(sandwiches)]
     classed = [k for k, name in enumerate(names) if name is not None]
     if not classed:
         return drawn
-    theta = phase_out(d).matrix
-    phased = {"miso": lambda m: theta @ m, "miso_star": lambda m: m @ theta, "diso": lambda m: theta @ (m @ theta)}
-    matrices = [drawn[k].matrix if k in incoherent else phased[names[k]](drawn[k].matrix) for k in classed]
+    on = phase_out(d).matrix.diagonal() != 0
+    mask = {"miso": on[:, None], "miso_star": on, "diso": on[:, None] & on}  # rows, columns, both
+    matrices = [drawn[k].matrix if k in incoherent else np.where(mask[names[k]], drawn[k].matrix, 0) for k in classed]
     stack = require_finite(np.stack(matrices), what="superoperation matrix", stacked=True)
     stack.setflags(write=False)
-    verdict = classify(Superoperation(d, "matrix", matrix=stack))
-    for j, k in enumerate(classed):  # a verdict field may also be one value for the whole stack
-        if not np.broadcast_to(getattr(verdict, f"in_{names[k]}"), len(classed))[j]:
+    residuals = _block_residuals(stack, d)
+    for j, k in enumerate(classed):
+        if not residuals[j, _CLASS_BLOCKS[names[k]]].max() <= ADMISSION_ATOL:
             raise GeneratorExhaustedError(f"the sampled {names[k]} candidate failed its class check")
         if k not in incoherent:
             drawn[k] = Superoperation(d, "matrix", matrix=stack[j])
@@ -381,9 +378,9 @@ def closure_harness(name: str, samples: int, seed, d: int = 2) -> ClosureReport:
 def closure_of(name: str, members: list) -> ClosureReport:
     """Closure of a class under composition and mixing, on the pairs of its members (0, 1), (2, 3), ...
 
-    A pair's composition and convex combinations at the weight grid form one (6, d^4, d^4) stack, admitted once and
-    classified in one call.  The de-phase incoherent verdicts are compared with the paper's commutation form
-    M T = T M, a batched matrix product: the one check that does not read ``classify``'s index sets, so "diso equals
+    A pair's composition and convex combinations at the weight grid form one (6, d^4, d^4) stack, admitted once; its
+    block residuals give the verdicts.  The de-phase incoherent verdicts are compared with the paper's commutation
+    form M T = T M, a batched matrix product: the one check that does not read the block index sets, so "diso equals
     miso intersection miso*" fails only if those sets are wrong.  A mask-form commutator would share them.
     """
     d = members[0].d
@@ -395,12 +392,12 @@ def closure_of(name: str, members: list) -> ClosureReport:
         m1, m2 = members[2 * i].matrix, members[2 * i + 1].matrix
         candidates = np.concatenate([(m1 @ m2)[None], weights * m1 + (1.0 - weights) * m2])
         stack = require_finite(candidates, what="superoperation matrix", stacked=True)
-        verdict = classify(Superoperation(d, "matrix", matrix=stack))
-        report.max_residual = max(report.max_residual, float(np.max(getattr(verdict, f"{name}_residual"))))
-        in_class = np.broadcast_to(getattr(verdict, f"in_{name}"), len(kinds))
-        for k in np.flatnonzero(~in_class):
-            fields = (np.broadcast_to(v, in_class.shape)[k].item() for v in vars(verdict).values())
-            report.violations.append(ClosureViolation(name, i, kinds[k], ClassificationReport(*fields)))
+        r = _block_residuals(stack, d)
+        residual = r[:, _CLASS_BLOCKS[name]].max(axis=-1)
+        report.max_residual = max(report.max_residual, float(residual.max()))
+        for k in np.flatnonzero(~(residual <= ADMISSION_ATOL)):
+            verdict = classify(Superoperation.from_matrix(stack[k]))
+            report.violations.append(ClosureViolation(name, i, kinds[k], verdict))
         commutes = np.abs(stack @ theta - theta @ stack).max(axis=(-2, -1)) <= ADMISSION_ATOL
-        report.intersection_consistent &= bool((verdict.in_diso == commutes).all())
+        report.intersection_consistent &= bool(((r.max(axis=-1) <= ADMISSION_ATOL) == commutes).all())
     return report

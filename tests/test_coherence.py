@@ -273,6 +273,13 @@ class TestConvexRoof:
         with pytest.raises(TypeError):
             mf_convex_roof(mixed, restarts=4)
 
+    def test_step_cap_validation(self):
+        # a negative step cap used to return the unmoved start, as max_iter=0 does
+        op = random_cptp(2, 2, 1)
+        for max_iter in (-1, -3):
+            with pytest.raises(ValueError, match="max_iter must be at least 0"):
+                mf_convex_roof(op, restarts=4, max_iter=max_iter, seed=0)
+
     def test_ensemble_weight_validation(self):
         # weights summing to 0.5, a NaN row, no rows at all, and an all-zero
         # row, whose weight sums to one with the rest but whose member is 0 / 0

@@ -228,28 +228,28 @@ def test_import_loads_no_scipy_or_hypothesis():
 # ---------------------------------------------------------------------------
 
 
-def cptp_one_at_a_time(rng) -> QuantumOperation:
-    """A random CPTP channel with environment 1 or 2, from its own Haar isometry."""
+def cptp_one_at_a_time(rng, d: int = 2) -> QuantumOperation:
+    """A random CPTP channel with environment 1 or 2, from its own Haar isometry of side d * env."""
     env = int(rng.integers(1, 3))
-    return QuantumOperation.from_kraus(haar_unitary(2 * env, rng)[:, :2].reshape(env, 2, 2))
+    return QuantumOperation.from_kraus(haar_unitary(d * env, rng)[:, :d].reshape(env, d, d))
 
 
-def member_one_at_a_time(name, rng) -> Superoperation:
+def member_one_at_a_time(name, rng, d: int = 2) -> Superoperation:
     """A random sandwich (name None) or a class member, drawn and built one object at a time."""
-    theta = phase_out(2)
-    base = Superoperation.from_sandwich(cptp_one_at_a_time(rng), cptp_one_at_a_time(rng))
+    theta = phase_out(d)
+    base = Superoperation.from_sandwich(cptp_one_at_a_time(rng, d), cptp_one_at_a_time(rng, d))
     if name == "miso":
         if rng.uniform() < 0.5:
             return compose(theta, base)
-        return Superoperation.from_sandwich(random_incoherent_cptp(2, rng), random_incoherent_cptp(2, rng))
+        return Superoperation.from_sandwich(random_incoherent_cptp(d, rng), random_incoherent_cptp(d, rng))
     if name == "miso_star":
         return compose(base, theta)
     return base if name is None else compose(theta, compose(base, theta))
 
 
-def closure_one_at_a_time(name: str, members: list) -> tuple:
+def closure_one_at_a_time(name: str, members: list, d: int = 2) -> tuple:
     """(violations, max residual, intersection verdict), composing, mixing and classifying one candidate at a time."""
-    theta = phase_out(2).matrix
+    theta = phase_out(d).matrix
     violations, worst, consistent = [], 0.0, True
     for i in range(len(members) // 2):
         s1, s2 = members[2 * i], members[2 * i + 1]
@@ -287,16 +287,29 @@ def test_theorem21_equals_a_per_object_recomputation(seed, samples, monkeypatch)
     assert [bits(s.matrix) for s in seen] == [bits(s.matrix) for group in groups for s in group]
 
 
-@pytest.mark.parametrize("name", CLASS_NAMES)
-def test_closure_harness_equals_a_per_object_recomputation(name, monkeypatch):
+@pytest.mark.parametrize(
+    "name, d", [pytest.param(name, d, id=name if d == 2 else f"{name}-d{d}") for d in (2, 3) for name in CLASS_NAMES]
+)
+def test_closure_harness_equals_a_per_object_recomputation(name, d, monkeypatch):
     rng = np.random.default_rng(33)
-    members = [member_one_at_a_time(name, rng) for _ in range(30)]
-    expected = closure_one_at_a_time(name, members)
+    members = [member_one_at_a_time(name, rng, d) for _ in range(30)]
+    expected = closure_one_at_a_time(name, members, d)
     seen = []
     monkeypatch.setattr(superop, "closure_of", lambda name, members: seen.extend(members) or closure_of(name, members))
-    rep = closure_harness(name, 15, seed=33)
+    rep = closure_harness(name, 15, seed=33, d=d)
     assert repr((rep.violations, rep.max_residual, rep.intersection_consistent)) == repr(expected)
     assert [bits(s.matrix) for s in seen] == [bits(s.matrix) for s in members]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_closure_violations_equal_a_per_object_recomputation(d):
+    # phased MISO members are not DISO members, so their closure under diso reports violations,
+    # each carrying the report of classify on its one candidate
+    members = sample_superoperations(["miso"] * 6, d, 37)
+    expected = closure_one_at_a_time("diso", members, d)
+    rep = closure_of("diso", members)
+    assert len(expected[0]) >= 6
+    assert repr((rep.violations, rep.max_residual, rep.intersection_consistent)) == repr(expected)
 
 
 def test_intersection_check_does_not_read_classify_index_sets(monkeypatch):

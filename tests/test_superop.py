@@ -31,7 +31,6 @@ from qopcoh.linalg import dagger, devectorize, max_abs, vectorize
 from qopcoh.suites import run_suite
 from qopcoh.superop import (
     CLASS_NAMES,
-    ClassificationReport,
     Superoperation,
     apply,
     check_cptp_preservation,
@@ -474,15 +473,15 @@ class TestSamplingAndClosure:
                 assert {"miso": rep.in_miso, "miso_star": rep.in_miso_star, "diso": rep.in_diso}[name]
 
     def test_sampler_checks_its_one_draw(self, monkeypatch):
-        # every construction is an exact member, so one draw is made; a
-        # classifier that rejects it makes the sampler raise, not retry
+        # every construction is an exact member, so one draw is made; block
+        # residuals that reject it make the sampler raise, not retry
         calls = []
 
-        def nothing(s):
-            calls.append(s)
-            return ClassificationReport(False, False, False, 1.0, 1.0, 1.0)
+        def nothing(matrices, d):
+            calls.append(matrices)
+            return np.ones((*matrices.shape[:-2], 2))
 
-        monkeypatch.setattr(superop, "classify", nothing)
+        monkeypatch.setattr(superop, "_block_residuals", nothing)
         for name in CLASS_NAMES:
             calls.clear()
             with pytest.raises(GeneratorExhaustedError, match=name):
@@ -517,12 +516,12 @@ class TestSamplingAndClosure:
                 random_sandwich(d, 0)
 
     def test_intersection_check_can_fail(self, monkeypatch):
-        # a classifier that puts everything in all three classes agrees with
-        # its own conjunction, but not with the commutation form M T = T M
-        def everything(s):
-            return ClassificationReport(True, True, True, 0.0, 0.0, 0.0)
+        # block residuals that put everything in all three classes agree with
+        # their own conjunction, but not with the commutation form M T = T M
+        def everything(matrices, d):
+            return np.zeros((*matrices.shape[:-2], 2))
 
-        monkeypatch.setattr(superop, "classify", everything)
+        monkeypatch.setattr(superop, "_block_residuals", everything)
         rep = closure_harness("miso", 3, seed=35)
         assert not rep.intersection_consistent
 
