@@ -115,23 +115,18 @@ def _maximally_mixed(d: int) -> np.ndarray:
     return m
 
 
-def cptp_report(matrices: np.ndarray, eigenvalues: np.ndarray) -> CptpReport:
-    """C >= 0 and tr_out(C) = I/d, both to the admission tolerance, for an admitted Choi matrix and its spectrum.
-
-    Takes a stack (..., d^2, d^2) and its spectra too; each field is then an array over the stack.
-    """
-    marginal = partial_trace_out(matrices, stacked=True)
-    d = marginal.shape[-1]
+def cptp_residuals(matrices: np.ndarray, eigenvalues: np.ndarray) -> tuple:
+    """(ok, min_eigenvalue, marginal_residual) of C >= 0 and tr_out C = I/d for an admitted Choi matrix or stack."""
+    marginal = partial_trace_out(matrices)
     min_eig = eigenvalues[..., -1]
-    marginal = np.abs(marginal - _maximally_mixed(d)).max(axis=(-2, -1))
-    if matrices.ndim == 2:  # one matrix: Python floats, and so a Python bool
-        min_eig, marginal = float(min_eig), float(marginal)
-    return CptpReport((min_eig >= -ADMISSION_ATOL) & (marginal <= ADMISSION_ATOL), min_eig, marginal)
+    marginal = np.abs(marginal - _maximally_mixed(marginal.shape[-1])).max(axis=(-2, -1))
+    return (min_eig >= -ADMISSION_ATOL) & (marginal <= ADMISSION_ATOL), min_eig, marginal
 
 
 def is_cptp(choi: ChoiState) -> CptpReport:
-    """The CPTP verdict of one Choi state, from ``cptp_report``."""
-    return cptp_report(choi.matrix, choi._eig.eigenvalues)
+    """The CPTP verdict of one Choi state, from ``cptp_residuals``."""
+    ok, min_eig, marginal = cptp_residuals(choi.matrix, choi._eig.eigenvalues)
+    return CptpReport(bool(ok), float(min_eig), float(marginal))
 
 
 @dataclass(frozen=True)

@@ -74,6 +74,8 @@ def _spectrum(m: np.ndarray) -> HermitianEig:
 # checked before any arithmetic; ``error`` is the type the entry point raises.
 # With ``stacked`` an admission takes a stack (..., n, n) and checks every
 # member in one pass; only a failure looks for the first failing member.
+# Only admissions carry ``stacked``: kernels (``partial_trace_out``, ``psd_root``,
+# ``channel.cptp_residuals``) take a matrix or a stack; reports hold one object.
 # Entries are admitted up to MAX_ENTRY in modulus, so the products the library
 # forms stay finite: the longest chain between two admissions, Kraus entries to
 # sandwich stack to superoperation matrix or outcome weights, reaches about
@@ -221,9 +223,9 @@ def dimension(size: int, power: int, what: str) -> int:
     return d
 
 
-def partial_trace_out(a, stacked: bool = False) -> np.ndarray:
-    """Trace out the second (output) factor: B[i,j] = sum_a A[i*d+a, j*d+a]; with ``stacked``, of each in a stack."""
-    m = as_complex_matrix(a, stacked)
+def partial_trace_out(a) -> np.ndarray:
+    """Trace out the second (output) factor of a matrix, or of each in a stack: B[i,j] = sum_a A[i*d+a, j*d+a]."""
+    m = as_complex_matrix(a, stacked=True)
     d = dimension(require_square(m), 2, "partial trace input")
     return np.trace(m.reshape(*m.shape[:-2], d, d, d, d), axis1=-3, axis2=-1)
 

@@ -16,7 +16,7 @@ from .channel import (
     PAULI_X,
     ChoiState,
     choi_matrices,
-    cptp_report,
+    cptp_residuals,
     ginibre,
     haar_from_ginibre,
     kraus_from_ginibre,
@@ -91,18 +91,18 @@ def suite_theorem12(samples: int, seed) -> list:
         draws = [ginibre(d * int(rng.integers(1, 4)), rng) for _ in range(count)]
         chois = np.stack([choi_matrices(stack) for stack in kraus_from_ginibre(d, draws)])
         h, (w, _) = require_density(chois, InvalidChoiError, "Choi matrix", stacked=True)
-        if not cptp_report(h, w).ok.all():
+        if not cptp_residuals(h, w)[0].all():
             raise InputNotCPTPError(f"a drawn d={d} channel is not CPTP")
         images = devectorize(vectorize(h) @ phase_out(d).matrix.T, d * d)
         h, (w, _) = require_density(images, InvalidChoiError, "Choi matrix", stacked=True)
-        reports = cptp_report(h, w)
+        ok, min_eig, marginal = cptp_residuals(h, w)
         checks.append(
             _check(
                 f"theorem12 dephased channels stay CPTP (d={d}, {count} channels)",
-                bool(reports.ok.all()),
+                bool(ok.all()),
                 channels=count,
-                max_marginal_residual=max(0.0, *reports.marginal_residual.tolist()),
-                min_eigenvalue=min(0.0, *reports.min_eigenvalue.tolist()),
+                max_marginal_residual=max(0.0, *marginal.tolist()),
+                min_eigenvalue=min(0.0, *min_eig.tolist()),
             )
         )
     return checks

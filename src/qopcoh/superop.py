@@ -321,7 +321,7 @@ def sample_superoperations(names, d: int, rng) -> list:
     on = phase_out(d).matrix.diagonal() != 0
     mask = {"miso": on[:, None], "miso_star": on, "diso": on[:, None] & on}  # rows, columns, both
     matrices = [drawn[k].matrix if k in incoherent else np.where(mask[names[k]], drawn[k].matrix, 0) for k in classed]
-    stack = require_finite(np.stack(matrices), what="superoperation matrix", stacked=True)
+    stack = np.stack(matrices)  # admitted members, some with entries zeroed by the mask: nothing new to admit
     stack.setflags(write=False)
     residuals = _block_residuals(stack, d)
     for j, k in enumerate(classed):

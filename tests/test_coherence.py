@@ -263,6 +263,18 @@ class TestConvexRoof:
         res = mf_convex_roof(mixed, restarts=6, max_iter=600, seed=6)
         assert res.value <= bound + 1e-9
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_never_below_the_exact_roof_of_the_symmetric_family(self, d):
+        # C_p = p |+><+| + (1 - p) I/d^2 and f are invariant under every permutation of the d^2 basis, so the
+        # roof is the convex hull in t = |<+|psi>|^2 of |sin(arccos(1/d) - arccos(sqrt t))| (Vollbrecht & Werner)
+        n = d * d
+        for p in np.arange(1, 10) / 10:
+            exact = p * (1 - 1 / n)
+            if p > (n - 2) / (n - 1):
+                exact = abs(math.sin(math.acos(1 / d) - math.acos(math.sqrt(p + (1 - p) / n))))
+            choi = p * np.ones((n, n)) / n + (1 - p) * np.eye(n) / n
+            assert mf_convex_roof(QuantumOperation.from_choi(choi), restarts=6, seed=3).value >= exact - 1e-12
+
     def test_restart_count_validation(self):
         # a nonpositive count used to run one restart without saying so
         mixed = mix_operations([0.5, 0.5], [identity_operation(2), pauli_z_operation()])

@@ -8,6 +8,8 @@ suite admits its channels' Choi states as stacks, corollary32 its unitaries'
 Choi states, and theorem21 builds its draws, and each pair's closure
 candidates, as stacks; so their check values are compared, bit for bit, with
 a recomputation that takes one object at a time through the public API.
+Kernels such as ``partial_trace_out`` and ``cptp_residuals`` take a matrix or
+a stack with no flag, and each row of a stack must equal the one-object call.
 """
 
 import math
@@ -26,8 +28,11 @@ from qopcoh.channel import (
     HADAMARD,
     PAULI_X,
     ChoiState,
+    CptpReport,
     QuantumOperation,
+    cptp_residuals,
     haar_unitary,
+    is_cptp,
     random_cptp,
     random_incoherent_cptp,
 )
@@ -39,7 +44,15 @@ from qopcoh.exceptions import (
     NotFiniteError,
     NotHermitianError,
 )
-from qopcoh.linalg import max_abs, require_density, require_finite, require_hermitian, require_unitary, vectorize
+from qopcoh.linalg import (
+    max_abs,
+    partial_trace_out,
+    require_density,
+    require_finite,
+    require_hermitian,
+    require_unitary,
+    vectorize,
+)
 from qopcoh.suites import run_suite
 from qopcoh.superop import (
     CLASS_NAMES,
@@ -57,6 +70,7 @@ from qopcoh.superop import (
     phase_out,
     sample_superoperations,
 )
+from qopcoh.tolerances import ADMISSION_ATOL
 
 
 def bits(a) -> bytes:
@@ -158,6 +172,73 @@ def test_finite_and_unitary_admissions_name_the_member():
             require_finite(unitaries, stacked=True)
         with pytest.raises(NotHermitianError, match=r"^matrix \(member 1\) has a non-finite entry"):
             require_hermitian(unitaries, stacked=True)
+
+
+# ---------------------------------------------------------------------------
+# One rule for stacks: kernels take a matrix or a stack, reports hold one object
+# ---------------------------------------------------------------------------
+
+
+def cptp_mixed_stack(d: int) -> np.ndarray:
+    """Choi matrices of side d^2 with both CPTP verdicts.
+
+    Random channels, a phase-out image and I/d^2 are CPTP; a basis projector, and at d=2 the maximally coherent
+    operation at angles (0.1, 0.2, 0.3, 0.4), are not trace preserving.
+    """
+    rng = np.random.default_rng(40 + d)
+    chois = [random_cptp(d, env, rng).choi.matrix for env in (1, 2, 3)]
+    chois.append(apply(phase_out(d), QuantumOperation.from_choi(chois[0])).choi.matrix)
+    n = d * d
+    chois += [np.eye(n) / n, np.diag(np.eye(n)[0])]
+    if d == 2:
+        chois.append(max_coherent_operation([0.1, 0.2, 0.3, 0.4]).choi.matrix)
+    return np.stack(chois)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_cptp_residuals_of_a_stack_equal_is_cptp_member_by_member(d):
+    # the reference reads the smallest eigenvalue and the marginal residual with its own code
+    stack = cptp_mixed_stack(d)
+    h, (w, _) = require_density(stack, stacked=True)
+    rows = [CptpReport(bool(ok), float(lowest), float(r)) for ok, lowest, r in zip(*cptp_residuals(h, w))]
+    expected = []
+    for member in stack:
+        choi = ChoiState(member)
+        lowest = float(choi._eig.eigenvalues.min())
+        residual = max_abs(partial_trace_out(choi.matrix) - np.eye(d) / d)
+        expected.append(CptpReport(lowest >= -ADMISSION_ATOL and residual <= ADMISSION_ATOL, lowest, residual))
+        assert repr(is_cptp(choi)) == repr(expected[-1])
+    assert repr(rows) == repr(expected)
+    assert {row.ok for row in rows} == {True, False}
+
+
+def test_is_cptp_holds_python_scalars():
+    # the JSON report of check --predicate cptp needs a bool and two floats, not numpy scalars
+    for member in cptp_mixed_stack(2):
+        rep = is_cptp(ChoiState(member))
+        assert tuple(type(x) for x in (rep.ok, rep.min_eigenvalue, rep.marginal_residual)) == (bool, float, float)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_partial_trace_out_of_a_grid_equals_per_matrix_calls(d):
+    rng = np.random.default_rng(50 + d)
+    n = d * d
+    grid = rng.standard_normal((2, 3, n, n)) + 1j * rng.standard_normal((2, 3, n, n))
+    out = partial_trace_out(grid)
+    assert out.shape == (2, 3, d, d)
+    members = grid.reshape(-1, n, n)
+    assert bits(out) == b"".join(bits(partial_trace_out(m)) for m in members)
+    for m, b in zip(members, out.reshape(-1, d, d)):
+        reference = [[sum(m[i * d + a, j * d + a] for a in range(d)) for j in range(d)] for i in range(d)]
+        assert max_abs(b - np.array(reference)) <= 1e-12
+
+
+def test_sampled_superoperations_are_read_only():
+    # the sampler stacks members that are already admitted, so it admits nothing; it still hands out read-only views
+    drawn = sample_superoperations([None, *CLASS_NAMES, *CLASS_NAMES], 2, 3)
+    for s in drawn:
+        with pytest.raises(ValueError):
+            s.matrix[0, 0] = 1.0
 
 
 # ---------------------------------------------------------------------------

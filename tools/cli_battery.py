@@ -24,7 +24,12 @@ come four documents with finite entries past the 2^250 that admission
 allows: three superoperation documents with entries of 1e200 (Kraus on
 Choi, sandwich and matrix) and a Choi document holding the pair
 +-1.7e308, whose products would overflow.  ``classify`` or ``check`` must
-reject each with exit 2.  That makes 95 commands.
+reject each with exit 2.  Then three documents that are not trace
+preserving, each of which ``check --predicate cptp`` must answer with exit 1:
+the d=2 maximally coherent operation K[a, i] = e^{i theta[i,a]}/sqrt 2 at
+theta = (0.1, 0.2, 0.3, 0.4) as a ``kraus`` document, and the Choi states
+diag(1, 0, 0, 0) at d=2 and diag(1, 0, ..., 0) at d=3.  That makes 98
+commands.
 """
 
 import hashlib
@@ -90,6 +95,8 @@ def commands() -> list:
     # arrays that do not fit the declared d, then finite entries past 2^250
     for name, doc in {**malformed_documents(), **overflow_documents()}.items():
         battery.append(f"check {name}.json --predicate cptp" if doc["kind"] in OPERATION_DOCUMENT_KINDS else f"classify {name}.json")
+    # operations that are not trace preserving: a false predicate exits 1
+    battery += [f"check {name}.json --predicate cptp" for name in not_cptp_documents()]
     return battery
 
 
@@ -139,6 +146,16 @@ def overflow_documents() -> dict:
     }
 
 
+def not_cptp_documents() -> dict:
+    """Hand-written documents of operations whose output marginal is not I/d, by file stem."""
+    theta = np.array([0.1, 0.2, 0.3, 0.4]).reshape(2, 2)  # theta[i, a]
+    return {
+        "max-coherent-kraus": _document("kraus", [np.exp(1j * theta).T / np.sqrt(2)]),
+        "choi-projector-d2": _document("choi", [np.diag(np.eye(4)[0])]),
+        "choi-projector-d3": _document("choi", [np.diag(np.eye(9)[0])], d=3),
+    }
+
+
 def run(command: str, src: Path, workdir: Path) -> str:
     args = command.split()
     out = workdir / args[args.index("--out") + 1] if "--out" in args else None
@@ -166,7 +183,8 @@ def main(argv: list) -> int:
         return 2
     workdir = Path(argv[1]).resolve()
     workdir.mkdir(parents=True, exist_ok=True)
-    for name, doc in {**superoperation_documents(), **malformed_documents(), **overflow_documents()}.items():
+    documents = {**superoperation_documents(), **malformed_documents(), **overflow_documents(), **not_cptp_documents()}
+    for name, doc in documents.items():
         (workdir / f"{name}.json").write_text(json.dumps(doc, indent=2))
     for command in commands():
         print(run(command, src, workdir), flush=True)

@@ -16,9 +16,17 @@ columns follow on the Uhlmann lane: "uhlmann" where the input has one,
 then "won" or "lost" (the last lane's value lies strictly below every
 other lane's, read off the history), and the gap between the value and
 the lane's bound sqrt(1 - F), which is never above 1e-12.  The probe
-reads the ensemble only through ``weights`` and ``members``.  Run it
-against two checkouts and diff the outputs to see which inputs a change to
-the estimator moved, and by how much.
+reads the ensemble only through ``weights`` and ``members``.
+
+Then come 18 lines on the symmetric family C_p = p |+><+| + (1 - p) I/d^2
+(|+><+| the all-1/d^2 matrix) for d = 2, 3 and p = 0.1, 0.2, ..., 0.9, each
+run at the CLI defaults (``restarts=32, seed=3``).  Each holds d, p, the
+value, the exact roof and the gap between them.  The exact roof is
+p (1 - 1/d^2) for p <= (d^2 - 2)/(d^2 - 1), and otherwise
+|sin(arccos(1/d) - arccos(sqrt t))| with t = p + (1 - p)/d^2; the gap is
+never below -1e-12.  Run the probe against two checkouts and diff the
+outputs to see which inputs a change to the estimator moved, and by how
+much.
 """
 
 import hashlib
@@ -29,6 +37,8 @@ from pathlib import Path
 
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
+
+import numpy as np  # after the thread pins, which BLAS reads when numpy loads it
 
 
 def inputs(channel) -> list:
@@ -44,6 +54,19 @@ def inputs(channel) -> list:
                 pair = [draw(d, rng), draw(d, rng)]
                 ops.append((f"d{d} {kind}-mixture #{n}", channel.mix_operations([p, 1 - p], pair)))
     return ops
+
+
+def symmetric_family() -> list:
+    """(d, p, Choi matrix, exact roof) of the family C_p, the same in every checkout."""
+    family = []
+    for d in (2, 3):
+        n = d * d
+        for p in [k / 10 for k in range(1, 10)]:
+            exact = p * (1 - 1 / n)
+            if p > (n - 2) / (n - 1):
+                exact = abs(math.sin(math.acos(1 / d) - math.acos(math.sqrt(p + (1 - p) / n))))
+            family.append((d, p, p * np.ones((n, n)) / n + (1 - p) * np.eye(n) / n, exact))
+    return family
 
 
 def lane_columns(coherence, op, result) -> str:
@@ -73,6 +96,9 @@ def main(root: str) -> None:
         mixture = sum(w * m for w, m in zip(ens.weights, matrices))
         members = hashlib.sha256(b"".join(m.tobytes() for m in matrices) + mixture.tobytes()).hexdigest()[:16]
         print(f"{label:28s} {result.value!r:22s} {len(steps):3d} {digest} {members} {lane_columns(coherence, op, result)}")
+    for d, p, choi, exact in symmetric_family():
+        value = coherence.mf_convex_roof(channel.QuantumOperation.from_choi(choi), restarts=32, seed=3).value
+        print(f"family d={d} p={p:.1f}             {value!r:22s} exact {exact!r:22s} gap {value - exact:+.3e}")
 
 
 if __name__ == "__main__":
