@@ -294,9 +294,11 @@ def mix_operations(weights, ops) -> QuantumOperation:
     return QuantumOperation.from_choi(c)
 
 
-def ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Complex n x n Ginibre matrix, its real part drawn first."""
-    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+def ginibre(n: int, rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
+    """Complex n x n Ginibre matrix, its real part drawn first; with ``shape``, a stack of them in one draw that holds,
+    in row-major order, what as many one-matrix calls would draw, and leaves ``rng`` where they would."""
+    g = rng.standard_normal((*shape, 2, n, n))
+    return (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2)
 
 
 def haar_from_ginibre(z: np.ndarray) -> np.ndarray:

@@ -203,19 +203,22 @@ def mf_pure(op: QuantumOperation) -> MeasureResult:
     return MeasureResult(value=value, kind="exact_pure", witness_index=divmod(m, choi.d))
 
 
-def mf_single_qubit_unitary(u) -> MeasureResult:
-    """Closed-form measure of a single-qubit unitary.
+def single_qubit_closed_form(unitaries: np.ndarray) -> tuple:
+    """(values, Choi diagonals |vec(U)|^2 / 2) of the closed form for an admitted 2x2 unitary, or a stack (..., 2, 2).
 
-    Works off the Choi diagonal |vec(U)|^2 / 2, whose entries 0 and 2 are
-    |U[0,0]|^2/2 = cos^2(gamma/2)/2 and |U[0,1]|^2/2 = sin^2(gamma/2)/2;
-    agrees with mf_pure on the Choi state to 1e-10.
+    Diagonal entries 0 and 2 are |U[0,0]|^2/2 = cos^2(gamma/2)/2 and |U[0,1]|^2/2 = sin^2(gamma/2)/2.
     """
-    v = vectorize(require_unitary(u, dim=2))
+    v = vectorize(unitaries)
     # |z|^2 as Python's abs(z) ** 2 gives it, hypot then pow(): np.abs(v) ** 2 differs in the last bit
     diag = np.float_power(np.hypot(v.real, v.imag), 2) / 2
-    value = min(math.sqrt(max(1.0 - diag[0], 0.0)), math.sqrt(max(1.0 - diag[2], 0.0)))
+    return np.minimum(np.sqrt(np.maximum(1 - diag[..., 0], 0)), np.sqrt(np.maximum(1 - diag[..., 2], 0))), diag
+
+
+def mf_single_qubit_unitary(u) -> MeasureResult:
+    """Closed-form measure of a single-qubit unitary, by ``single_qubit_closed_form``; agrees with mf_pure to 1e-10."""
+    value, diag = single_qubit_closed_form(require_unitary(u, dim=2))
     witness = divmod(_argmax_smallest_index(diag), 2)
-    return MeasureResult(value=value, kind="closed_form_qubit", witness_index=witness)
+    return MeasureResult(value=float(value), kind="closed_form_qubit", witness_index=witness)
 
 
 def max_coherent_operation(thetas) -> QuantumOperation:

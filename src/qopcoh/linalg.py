@@ -72,10 +72,11 @@ def _spectrum(m: np.ndarray) -> HermitianEig:
 # Admission, the one place that decides whether an input is acceptable.  Each
 # check reads ``not residual <= tol``, so NaN is rejected, and magnitude is
 # checked before any arithmetic; ``error`` is the type the entry point raises.
-# With ``stacked`` an admission takes a stack (..., n, n) and checks every
-# member in one pass; only a failure looks for the first failing member.
-# Only admissions carry ``stacked``: kernels (``partial_trace_out``, ``psd_root``,
-# ``channel.cptp_residuals``) take a matrix or a stack; reports hold one object.
+# With ``stacked`` the finite, Hermitian, density and unitary admissions take a
+# stack (..., n, n) and check every member in one pass; only a failure looks
+# for the first failing member.  Only admissions carry ``stacked``: kernels
+# (``partial_trace_out``, ``psd_root``, ``channel.cptp_residuals``) take a
+# matrix or a stack; reports hold one object.
 # Entries are admitted up to MAX_ENTRY in modulus, so the products the library
 # forms stay finite: the longest chain between two admissions, Kraus entries to
 # sandwich stack to superoperation matrix or outcome weights, reaches about
@@ -136,15 +137,15 @@ def require_density(a, error=NotDensityMatrixError, what: str = "state", stacked
     return h, eig
 
 
-def require_unitary(a, error=NotUnitaryError, what: str = "matrix", dim=None) -> np.ndarray:
-    """Admit a finite matrix with U+U = I to the admission tolerance (and size ``dim``, if given)."""
-    m = require_finite(a, error, what)
-    if dim is not None and m.shape != (dim, dim):
+def require_unitary(a, error=NotUnitaryError, what: str = "matrix", dim=None, stacked: bool = False) -> np.ndarray:
+    """Admit a finite matrix, or a stack, with U+U = I to the admission tolerance (and side ``dim``, if given)."""
+    m = require_finite(a, error, what, stacked)
+    if dim is not None and m.shape[-2:] != (dim, dim):
         raise error(f"expected a {dim}x{dim} unitary, got shape {m.shape}")
-    n = require_square(m)
-    gram = max_abs(dagger(m) @ m - np.eye(n))
-    if not gram <= ADMISSION_ATOL:
-        raise error(f"{what} is not unitary (residual {gram:.3e})")
+    gram = dagger(m) @ m - np.eye(require_square(m))
+    if not max_abs(gram) <= ADMISSION_ATOL:
+        r = np.abs(gram).max(axis=(-2, -1))
+        _reject(error, what, r, r <= ADMISSION_ATOL, "{} is not unitary (residual {:.3e})")
     return m
 
 

@@ -28,11 +28,11 @@ from .coherence import (
     fidelity_from_roots,
     max_coherent_operation,
     mf_pure,
-    mf_single_qubit_unitary,
+    single_qubit_closed_form,
     verify_axioms,
 )
 from .exceptions import InputNotCPTPError, InvalidChoiError, UnknownSuiteError
-from .linalg import devectorize, max_abs, psd_root, require_density, vectorize
+from .linalg import devectorize, max_abs, psd_root, require_density, require_unitary, vectorize
 from .superop import (
     CLASS_NAMES,
     check_structural_relations,
@@ -82,14 +82,18 @@ def suite_theorem11(samples: int, seed) -> list:
 def suite_theorem12(samples: int, seed) -> list:
     """Phase-out maps random CPTP channels to CPTP channels.
 
-    The channels ``random_cptp`` draws, in its rng order, built by ``kraus_from_ginibre``; their Choi states and
-    phase-out images (one product with its matrix) are each admitted, and given CPTP verdicts, as one stack.
+    The channels ``random_cptp`` draws, in its rng order, built by ``kraus_from_ginibre``; their Choi states (one
+    ``choi_matrices`` call per environment size) and phase-out images (one product with its matrix) are each admitted,
+    and given CPTP verdicts, as one stack grouped by environment size: the report is an all / max / min over the
+    channels, but a failed admission names its member in that group order.
     """
     rng = rng_from(seed)
     checks = []
     for d, count in ((2, samples), (3, max(1, (samples * 2) // 5))):
         draws = [ginibre(d * int(rng.integers(1, 4)), rng) for _ in range(count)]
-        chois = np.stack([choi_matrices(stack) for stack in kraus_from_ginibre(d, draws)])
+        stacks = kraus_from_ginibre(d, draws)
+        groups = [np.stack([s for s in stacks if len(s) == env]) for env in dict.fromkeys(map(len, stacks))]
+        chois = np.concatenate([choi_matrices(group) for group in groups])
         h, (w, _) = require_density(chois, InvalidChoiError, "Choi matrix", stacked=True)
         if not cptp_residuals(h, w)[0].all():
             raise InputNotCPTPError(f"a drawn d={d} channel is not CPTP")
@@ -141,15 +145,19 @@ def suite_theorem21(samples: int, seed) -> list:
 
 
 def suite_corollary32(samples: int, seed) -> list:
-    """Single-qubit closed form versus brute force, range, and extremes."""
+    """Single-qubit closed form versus brute force, range, and extremes.
+
+    The unitaries ``haar_unitary`` draws, from one Ginibre stack, and I, X and H are admitted and measured as one
+    stack by ``single_qubit_closed_form``; the drawn ones' Choi states are admitted, rooted and brute-forced as one.
+    """
     rng = rng_from(seed)
     checks = []
-    # the unitaries haar_unitary draws, as a stack; their Choi states admitted, rooted and brute-forced as one
-    unitaries = haar_from_ginibre(np.stack([ginibre(2, rng) for _ in range(samples)]))
+    unitaries = haar_from_ginibre(ginibre(2, rng, (samples,)))
     _, eig = require_density(choi_matrices(unitaries[:, None]), InvalidChoiError, "Choi matrix", stacked=True)
-    closed = [mf_single_qubit_unitary(u).value for u in unitaries]
+    measured = np.concatenate([unitaries, [np.eye(2), PAULI_X, HADAMARD]])
+    values = single_qubit_closed_form(require_unitary(measured, dim=2, stacked=True))[0].tolist()
+    closed, (v_i, v_x, v_h) = values[:samples], values[samples:]
     worst_gap = max(0.0, *np.abs(np.array(closed) - mf_pure_brute_force(psd_root(eig))).tolist())
-    lo, hi = min(closed), max(closed)
     checks.append(
         _check(
             f"theorem31 closed form matches brute-force oracle ({samples} unitaries)",
@@ -158,8 +166,7 @@ def suite_corollary32(samples: int, seed) -> list:
         )
     )
 
-    v_i, v_x, v_h = (mf_single_qubit_unitary(u).value for u in (np.eye(2), PAULI_X, HADAMARD))
-    lo, hi = min(lo, v_i, v_x, v_h), max(hi, v_i, v_x, v_h)
+    lo, hi = min(values), max(values)
     checks.append(
         _check(
             "corollary32 measure range within [sqrt2/2, sqrt3/2]",

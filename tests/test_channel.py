@@ -14,6 +14,7 @@ from qopcoh.channel import (
     apply_via_choi,
     choi_from_operation,
     dephasing_operation,
+    ginibre,
     haar_unitary,
     hadamard_operation,
     identity_operation,
@@ -240,6 +241,19 @@ class TestRandomGenerators:
             op = random_incoherent_cptp(2, seed)
             assert is_cptp(op.choi).ok
             assert is_incoherent_operation(op.choi).ok
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 9])
+    def test_ginibre_draws_the_two_call_stream(self, n):
+        # verify reports need not show a shifted draw, so the stream is pinned here: each member's real
+        # part then its imaginary part, and the generator left where two calls per member leave it
+        reference, one, stacked = (np.random.default_rng(70 + n) for _ in range(3))
+        pairs = [(reference.standard_normal((n, n)), reference.standard_normal((n, n))) for _ in range(6)]
+        expected = [(re + 1j * im) / np.sqrt(2) for re, im in pairs]
+        drawn = [ginibre(n, one) for _ in range(6)]
+        assert [z.tobytes() for z in drawn] == [z.tobytes() for z in expected]
+        grid = ginibre(n, stacked, (2, 3))
+        assert grid.shape == (2, 3, n, n) and grid.tobytes() == np.stack(expected).tobytes()
+        assert reference.integers(2**62) == one.integers(2**62) == stacked.integers(2**62)
 
 
 class TestRepresentations:

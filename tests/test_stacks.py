@@ -1,13 +1,13 @@
 """Stacked admission and the suites that use it.
 
-The finite, Hermitian and density admissions take a stack (..., n, n) and
-check every member in one pass; each member must come out bit for bit as its
-own one-matrix admission, with eigh's spectrum reversed, and a failing member
-must be named.  The unitary admission takes one matrix only.  The theorem12
-suite admits its channels' Choi states as stacks, corollary32 its unitaries'
-Choi states, and theorem21 builds its draws, and each pair's closure
-candidates, as stacks; so their check values are compared, bit for bit, with
-a recomputation that takes one object at a time through the public API.
+The finite, Hermitian, density and unitary admissions take a stack
+(..., n, n) and check every member in one pass; each member must come out bit
+for bit as its own one-matrix admission, with eigh's spectrum reversed, and a
+failing member must be named.  The theorem12 suite admits its channels' Choi
+states as stacks, corollary32 its unitaries and their Choi states, and
+theorem21 builds its draws, and each pair's closure candidates, as stacks;
+so their check values are compared, bit for bit, with a recomputation that
+takes one object at a time through the public API.
 Kernels such as ``partial_trace_out`` and ``cptp_residuals`` take a matrix or
 a stack with no flag, and each row of a stack must equal the one-object call.
 """
@@ -36,13 +36,21 @@ from qopcoh.channel import (
     random_cptp,
     random_incoherent_cptp,
 )
-from qopcoh.coherence import SQRT3_OVER_2, fidelity_from_roots, max_coherent_operation, mf_pure, mf_single_qubit_unitary
+from qopcoh.coherence import (
+    SQRT3_OVER_2,
+    fidelity_from_roots,
+    max_coherent_operation,
+    mf_pure,
+    mf_single_qubit_unitary,
+    single_qubit_closed_form,
+)
 from qopcoh.exceptions import (
     DimensionMismatchError,
     InvalidChoiError,
     NotDensityMatrixError,
     NotFiniteError,
     NotHermitianError,
+    NotUnitaryError,
 )
 from qopcoh.linalg import (
     max_abs,
@@ -116,6 +124,7 @@ def test_unitary_and_hermitian_stacks_pass_through_unchanged():
     rng = np.random.default_rng(7)
     unitaries = np.stack([haar_unitary(3, rng) for _ in range(5)])
     assert require_finite(unitaries, stacked=True) is unitaries
+    assert require_unitary(unitaries, stacked=True) is unitaries
     assert require_hermitian(unitaries + np.swapaxes(unitaries.conj(), -1, -2), stacked=True).shape == (5, 3, 3)
     with pytest.raises(DimensionMismatchError, match="ndim=3"):
         require_density(unitaries)  # a stack needs stacked=True
@@ -172,6 +181,14 @@ def test_finite_and_unitary_admissions_name_the_member():
             require_finite(unitaries, stacked=True)
         with pytest.raises(NotHermitianError, match=r"^matrix \(member 1\) has a non-finite entry"):
             require_hermitian(unitaries, stacked=True)
+        with pytest.raises(NotUnitaryError, match=r"^matrix \(member 1\) has a non-finite entry"):
+            require_unitary(unitaries, stacked=True)
+        scaled = np.stack([haar_unitary(2, rng) for _ in range(4)])
+        scaled[[1, 3]] *= 1.1  # a later failure must not be the one named
+        with pytest.raises(NotUnitaryError, match=r"^matrix \(member 1\) is not unitary \(residual 2\.100e-01\)"):
+            require_unitary(scaled, stacked=True)
+        with pytest.raises(NotUnitaryError, match=r"^matrix is not unitary \(residual 2\.100e-01\)"):
+            require_unitary(scaled[3])
 
 
 # ---------------------------------------------------------------------------
@@ -403,12 +420,29 @@ def test_intersection_check_does_not_read_classify_index_sets(monkeypatch):
     assert not closure_of("diso", members).intersection_consistent
 
 
+def closed_form_by_hand(u: np.ndarray) -> float:
+    """The closed form with Python scalars: squared moduli |U[0,0]|^2 / 2 and |U[0,1]|^2 / 2, math.sqrt, max, min."""
+    diag = [abs(z) ** 2 / 2 for z in vectorize(u)]
+    return min(math.sqrt(max(1.0 - diag[0], 0.0)), math.sqrt(max(1.0 - diag[2], 0.0)))
+
+
 def test_closed_form_squares_moduli_as_python_abs_does():
     # the closed form squares |U[a, i]| as Python's abs(z) ** 2 would, entry by entry; numpy's
     # np.abs(z) ** 2 differs in the last bit on about a third of the entries, which moves the value
     rng = np.random.default_rng(2000)
     for _ in range(2000):
         u = haar_unitary(2, rng)
-        diag = [abs(z) ** 2 / 2 for z in vectorize(u)]
-        value = min(math.sqrt(max(1.0 - diag[0], 0.0)), math.sqrt(max(1.0 - diag[2], 0.0)))
-        assert repr(mf_single_qubit_unitary(u).value) == repr(value)
+        assert repr(mf_single_qubit_unitary(u).value) == repr(closed_form_by_hand(u))
+
+
+def test_closed_form_of_a_stack_equals_the_one_unitary_measure():
+    # corollary32 measures its drawn unitaries and I, X and H with one kernel call; each value must be the
+    # one-unitary measure's, and that of the closed form spelled with Python scalars
+    rng = np.random.default_rng(2001)
+    unitaries = np.concatenate([[haar_unitary(2, rng) for _ in range(1000)], [np.eye(2), PAULI_X, HADAMARD]])
+    values, diag = single_qubit_closed_form(require_unitary(unitaries, dim=2, stacked=True))
+    assert values.shape == (1003,) and diag.shape == (1003, 4)
+    assert repr(values.tolist()) == repr([mf_single_qubit_unitary(u).value for u in unitaries])
+    assert repr(values.tolist()) == repr([closed_form_by_hand(u) for u in unitaries])
+    grid, _ = single_qubit_closed_form(unitaries[:1000].reshape(10, 100, 2, 2))  # any leading axes
+    assert bits(grid) == bits(values[:1000])
