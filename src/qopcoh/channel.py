@@ -283,9 +283,11 @@ def hadamard_operation() -> QuantumOperation:
 
 
 def dephasing_operation(d: int) -> QuantumOperation:
-    """Completely dephasing channel, Kraus {|i><i|}."""
+    """Completely dephasing channel, Kraus {|i><i|}: 0/1 entries, built as a read-only stack with nothing to admit."""
     eye = np.eye(d, dtype=complex)
-    return QuantumOperation.from_kraus(eye[:, :, None] * eye[:, None, :])
+    stack = eye[:, :, None] * eye[:, None, :]
+    stack.setflags(write=False)
+    return QuantumOperation("kraus", kraus=stack)
 
 
 def mix_operations(weights, ops) -> QuantumOperation:
@@ -294,11 +296,14 @@ def mix_operations(weights, ops) -> QuantumOperation:
     return QuantumOperation.from_choi(c)
 
 
-def ginibre(n: int, rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
-    """Complex n x n Ginibre matrix, its real part drawn first; with ``shape``, a stack of them in one draw that holds,
-    in row-major order, what as many one-matrix calls would draw, and leaves ``rng`` where they would."""
-    g = rng.standard_normal((*shape, 2, n, n))
+def _complex(g: np.ndarray) -> np.ndarray:  # raw draws (..., 2, n, n), real parts first
     return (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2)
+
+
+def ginibre(n: int, rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
+    """Complex n x n Ginibre matrix of the raw draw ``rng.standard_normal((2, n, n))``; with ``shape``, a stack of them
+    in one draw that holds, in row-major order, what as many one-matrix calls would draw, and leaves ``rng`` there."""
+    return _complex(rng.standard_normal((*shape, 2, n, n)))
 
 
 def haar_from_ginibre(z: np.ndarray) -> np.ndarray:
@@ -321,16 +326,13 @@ def random_unitary(d: int, seed) -> QuantumOperation:
 
 
 def kraus_from_ginibre(d: int, draws: list) -> list:
-    """Kraus stacks of random CPTP channels from Ginibre draws of side d * env, one per draw, in draw order.
-
-    Each draw gives a Haar isometry V from the system into environment(x)system (Stinespring) and the Kraus
-    operators K_e = (<e| (x) I) V.  Draws of one side take one QR and one admission.  Returns one read-only
-    (env, d, d) stack per draw.
-    """
+    """One read-only (env, d, d) Kraus stack per raw draw ``rng.standard_normal((2, n, n))``, n = d * env, in draw
+    order: the Kraus operators K_e = (<e| (x) I) V of the Haar isometry V into environment(x)system it gives.
+    The draws of one side are made complex (as ``ginibre`` does), QR-factored and admitted as one stack."""
     stacks = {}
-    for n in dict.fromkeys(len(z) for z in draws):  # each side once
-        index = [k for k, z in enumerate(draws) if len(z) == n]
-        isometries = haar_from_ginibre(np.stack([draws[k] for k in index]))[..., :d]
+    for n in dict.fromkeys(z.shape[-1] for z in draws):  # each side once
+        index = [k for k, z in enumerate(draws) if z.shape[-1] == n]
+        isometries = haar_from_ginibre(_complex(np.stack([draws[k] for k in index])))[..., :d]
         stack = np.ascontiguousarray(isometries.reshape(len(index), n // d, d, d))
         stack = require_finite(stack, InvalidKrausError, "Kraus operator", stacked=True)
         stack.setflags(write=False)
@@ -342,7 +344,7 @@ def random_cptp(d: int, env_dim: int, seed) -> QuantumOperation:
     """Random CPTP channel via Stinespring dilation: ``kraus_from_ginibre`` of one draw."""
     if d < 2 or env_dim < 1:
         raise DimensionMismatchError("random_cptp requires d >= 2 and env_dim >= 1")
-    [stack] = kraus_from_ginibre(d, [ginibre(d * env_dim, rng_from(seed))])
+    [stack] = kraus_from_ginibre(d, [rng_from(seed).standard_normal((2, d * env_dim, d * env_dim))])
     return QuantumOperation("kraus", kraus=stack)
 
 
@@ -350,16 +352,17 @@ def random_incoherent_cptp(d: int, seed) -> QuantumOperation:
     """Random incoherent CPTP channel from a column-stochastic matrix T.
 
     Kraus operators sqrt(T[a,i]) |a><i| give the diagonal Choi state
-    sum_{ia} (T[a,i]/d) |ia><ia| and satisfy completeness exactly.
+    sum_{ia} (T[a,i]/d) |ia><ia| and satisfy completeness exactly.  Entries in [0, 1]: built read-only, not admitted.
     """
     if d < 2:
         raise DimensionMismatchError("random_incoherent_cptp requires d >= 2")
     rng = rng_from(seed)
     t = rng.uniform(0.05, 1.0, size=(d, d))
     t /= t.sum(axis=0, keepdims=True)
-    eye = np.eye(d)
-    ks = np.sqrt(t.T)[:, :, None, None] * eye[None, :, :, None] * eye[:, None, None, :]
-    return QuantumOperation.from_kraus(ks.reshape(d * d, d, d))
+    eye = np.eye(d, dtype=complex)
+    ks = (np.sqrt(t.T)[:, :, None, None] * eye[None, :, :, None] * eye[:, None, None, :]).reshape(d * d, d, d)
+    ks.setflags(write=False)
+    return QuantumOperation("kraus", kraus=ks)
 
 
 def random_density_matrix(d: int, seed) -> np.ndarray:

@@ -12,7 +12,7 @@ A sandwich induces the Choi-space Kraus set {pre_m^T (x) post_p}, formed as
 one (n, d^2, d^2) stack when the sandwich is built, so every form reduces to
 the canonical matrix representation, and all membership tests below are
 exact linear-algebra identities on those matrices.  Both Kraus forms build
-their matrix from the stack in one contraction; a matrix form holds its own.
+their matrix in one contraction (``superop_matrices``); a matrix holds its own.
 
 The phase-out superoperation deletes the off-diagonal Choi entries; its
 sandwich form (dephase outputs, dephase inputs) and its Kraus form
@@ -21,7 +21,8 @@ sandwich form (dephase outputs, dephase inputs) and its Kraus form
 
 Membership tests, with T the phase-out matrix and M the superoperation
 matrix, read off the blocks of M that T splits: by ``classify`` for one
-Superoperation, and by the sampler and the closure harness for their stacks:
+Superoperation, and by the sampler and the closure harness for their stacks;
+the sampler and the structural relations form T M, M T and T M T as masks of M:
 
 * nongenerating (MISO):      M T = T M T
 * nonactivating (MISO*):     T M = T M T
@@ -37,7 +38,6 @@ from .channel import (
     CptpReport,
     QuantumOperation,
     dephasing_operation,
-    ginibre,
     is_cptp,
     kraus_from_ginibre,
     random_incoherent_cptp,
@@ -110,19 +110,19 @@ class Superoperation:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """Canonical, read-only d^4 x d^4 matrix, acting on column-stacked Choi matrices.
+        """Canonical, read-only d^4 x d^4 matrix on column-stacked Choi matrices: ``superop_matrices`` of one stack."""
+        return superop_matrices(self.choi_kraus)
 
-        sum_n conj(K_n) (x) K_n in one product: G = conj(K)^T K over the flattened
-        stack holds G[(r,c),(s,t)], reordered to the Kronecker layout [(r,s),(c,t)].
-        Admitted Kraus entries keep this product finite (a sandwich stack's
-        entries stay below 2^500), but it can exceed 2^250, so it is admitted
-        like a matrix given directly.
-        """
-        dd = self.d * self.d
-        ks = self.choi_kraus.reshape(-1, dd * dd)
-        m = (ks.conj().T @ ks).reshape(dd, dd, dd, dd).transpose(0, 2, 1, 3).reshape(dd * dd, dd * dd)
-        m.setflags(write=False)
-        return require_finite(m, what="superoperation matrix")
+
+def superop_matrices(choi_kraus: np.ndarray) -> np.ndarray:
+    """Read-only sum_n conj(K_n) (x) K_n of a Choi-space Kraus stack (n, d^2, d^2), or of each in (..., n, d^2, d^2):
+    conj(K)^T K over each flattened stack, reordered to the Kronecker layout.  Admitted Kraus entries keep it finite (a
+    sandwich stack's stay below 2^500), but it can exceed 2^250, so it is admitted like a matrix given directly."""
+    dd, lead = choi_kraus.shape[-1], choi_kraus.shape[:-3]
+    ks = choi_kraus.reshape(*lead, -1, dd * dd)
+    m = (dagger(ks) @ ks).reshape(*lead, dd, dd, dd, dd).swapaxes(-3, -2).reshape(*lead, dd * dd, dd * dd)
+    m.setflags(write=False)
+    return require_finite(m, what="superoperation matrix", stacked=True)
 
 
 @cache
@@ -215,6 +215,12 @@ def _block_residuals(matrices: np.ndarray, d: int) -> np.ndarray:
     return np.abs(matrices.reshape(*matrices.shape[:-2], -1).take(_block_indices(d), axis=-1)).max(axis=-1)
 
 
+def _phase_masks(d: int) -> dict:
+    """Where T M (rows), M T (columns) and T M T (both) keep a d^4 x d^4 matrix M: each class's member mask."""
+    on = phase_out(d).matrix.diagonal() != 0
+    return {"miso": on[:, None], "miso_star": on, "diso": on[:, None] & on}
+
+
 def classify(s: Superoperation) -> ClassificationReport:
     """Test the three membership conditions on the matrix representation.
 
@@ -248,25 +254,15 @@ class StructuralReport:
 
 
 def check_structural_relations(s: Superoperation) -> StructuralReport:
-    """Phase-out composition always lands in MISO; MISO* survives both sides."""
-    theta = phase_out(s.d)
-    after = classify(compose(theta, s))
-    s_theta = compose(s, theta)
-    both = classify(compose(theta, s_theta))
-    own = classify(s)
-    if own.in_miso_star:
-        star_after = after.in_miso_star
-        star_before = classify(s_theta).in_miso_star
-    else:
-        star_after = None
-        star_before = None
-    return StructuralReport(
-        phaseout_after_is_miso=after.in_miso,
-        phaseout_both_sides_is_miso=both.in_miso,
-        input_in_miso_star=own.in_miso_star,
-        phaseout_after_is_miso_star=star_after,
-        phaseout_before_is_miso_star=star_before,
-    )
+    """Phase-out composition always lands in MISO; MISO* survives both sides.
+
+    T M, T M T and M T are masks of M (bit-equal to ``compose`` with ``phase_out``), and every verdict is the one
+    ``classify`` gives, from one ``_block_residuals`` call on them and M."""
+    masks = _phase_masks(s.d)
+    phased = [np.where(masks[name], s.matrix, 0) for name in ("miso", "diso", "miso_star")]
+    held = _block_residuals(np.stack([*phased, s.matrix]), s.d) <= ADMISSION_ATOL
+    (after, star_after), (both, _), (_, star_before), (_, star) = held.tolist()
+    return StructuralReport(after, both, star, star_after if star else None, star_before if star else None)
 
 
 def check_cptp_preservation(op: QuantumOperation) -> CptpReport:
@@ -294,12 +290,13 @@ def random_incoherent_sandwich(d: int, rng) -> Superoperation:
 def sample_superoperations(names, d: int, rng) -> list:
     """Draw one superoperation per entry of ``names``: a random sandwich for None, else a verified class member.
 
-    Takes every rng draw first, entry after entry (the sandwich's two halves, random CPTP channels with environment 1
-    or 2; for miso a branch, and on its incoherent branch two incoherent channels), then builds them all with one
-    ``kraus_from_ginibre``.  MISO members apply phase-out after the sandwich (or are sandwiches of incoherent
-    channels), MISO* members apply it first, DISO members on both sides, as the 0/1 diagonal mask it is (bit-equal to
-    the products with its matrix).  Each construction is an exact member of its class, as an incoherent Kraus operator
-    maps basis states to basis states; the block residuals of their admitted stack re-check them, and a failure raises.
+    Takes every rng draw first, entry after entry (the sandwich's two halves, raw draws of random CPTP channels with
+    environment 1 or 2; for miso a branch, and on its incoherent branch two incoherent channels), then builds them all
+    with one ``kraus_from_ginibre``.  MISO members apply phase-out after the sandwich (or are sandwiches of incoherent
+    channels), MISO* members apply it first, DISO members on both sides, as the 0/1 diagonal mask it is.  Each is an
+    exact member of its class, as an incoherent Kraus operator maps basis states to basis states.  Class members are
+    built by one ``superop_matrices`` call per Kraus count and re-checked by their block residuals (a failure raises);
+    a random sandwich builds its matrix only when it is read.
     """
     if d < 2:
         raise DimensionMismatchError(f"random superoperations require d >= 2, got d={d}")
@@ -307,28 +304,28 @@ def sample_superoperations(names, d: int, rng) -> list:
     if unknown:
         raise ValueError(f"unknown class {unknown[0]!r}; expected one of {CLASS_NAMES}")
     rng = rng_from(rng)
-    ginibres, incoherent = [], {}
+    draws, incoherent = [], {}
     for k, name in enumerate(names):
-        ginibres += [ginibre(d * int(rng.integers(1, 3)), rng) for _ in range(2)]  # post, then pre
+        draws += [rng.standard_normal((2, n := d * int(rng.integers(1, 3)), n)) for _ in range(2)]  # post, then pre
         if name == "miso" and not rng.uniform() < 0.5:
             incoherent[k] = random_incoherent_sandwich(d, rng)
-    halves = [QuantumOperation("kraus", kraus=kraus) for kraus in kraus_from_ginibre(d, ginibres)]
+    halves = [QuantumOperation("kraus", kraus=kraus) for kraus in kraus_from_ginibre(d, draws)]
     sandwiches = zip(halves[0::2], halves[1::2])  # (post, pre) per entry
     drawn = [incoherent.get(k) or Superoperation.from_sandwich(*pair) for k, pair in enumerate(sandwiches)]
-    classed = [k for k, name in enumerate(names) if name is not None]
-    if not classed:
-        return drawn
-    on = phase_out(d).matrix.diagonal() != 0
-    mask = {"miso": on[:, None], "miso_star": on, "diso": on[:, None] & on}  # rows, columns, both
-    matrices = [drawn[k].matrix if k in incoherent else np.where(mask[names[k]], drawn[k].matrix, 0) for k in classed]
-    stack = np.stack(matrices)  # admitted members, some with entries zeroed by the mask: nothing new to admit
-    stack.setflags(write=False)
-    residuals = _block_residuals(stack, d)
-    for j, k in enumerate(classed):
-        if not residuals[j, _CLASS_BLOCKS[names[k]]].max() <= ADMISSION_ATOL:
-            raise GeneratorExhaustedError(f"the sampled {names[k]} candidate failed its class check")
-        if k not in incoherent:
-            drawn[k] = Superoperation(d, "matrix", matrix=stack[j])
+    sizes = {k: len(drawn[k].choi_kraus) for k, name in enumerate(names) if name is not None}  # Kraus counts
+    masks = _phase_masks(d)
+    for size in dict.fromkeys(sizes.values()):  # each Kraus count once
+        group = [k for k in sizes if sizes[k] == size]
+        built = superop_matrices(np.stack([drawn[k].choi_kraus for k in group]))
+        built = np.stack([m if k in incoherent else np.where(masks[names[k]], m, 0) for k, m in zip(group, built)])
+        built.setflags(write=False)
+        for k, m, r in zip(group, built, _block_residuals(built, d)):
+            if not r[_CLASS_BLOCKS[names[k]]].max() <= ADMISSION_ATOL:
+                raise GeneratorExhaustedError(f"the sampled {names[k]} candidate failed its class check")
+            if k in incoherent:
+                vars(drawn[k])["matrix"] = m  # fills the cached property, as its first read would
+            else:
+                drawn[k] = Superoperation(d, "matrix", matrix=m)
     return drawn
 
 

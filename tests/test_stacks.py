@@ -7,7 +7,11 @@ failing member must be named.  The theorem12 suite admits its channels' Choi
 states as stacks, corollary32 its unitaries and their Choi states, and
 theorem21 builds its draws, and each pair's closure candidates, as stacks;
 so their check values are compared, bit for bit, with a recomputation that
-takes one object at a time through the public API.
+takes one object at a time through the public API.  The sampler builds its
+class members' matrices per Kraus count in one contraction, the structural
+relations and theorem12's images read phase-out as a mask, and the Ginibre
+draws reach ``kraus_from_ginibre`` raw; each is compared with the code that
+built one object at a time, kept here as the reference.
 Kernels such as ``partial_trace_out`` and ``cptp_residuals`` take a matrix or
 a stack with no flag, and each row of a stack must equal the one-object call.
 """
@@ -30,9 +34,14 @@ from qopcoh.channel import (
     ChoiState,
     CptpReport,
     QuantumOperation,
+    choi_matrices,
     cptp_residuals,
+    dephasing_operation,
+    ginibre,
+    haar_from_ginibre,
     haar_unitary,
     is_cptp,
+    kraus_from_ginibre,
     random_cptp,
     random_incoherent_cptp,
 )
@@ -53,6 +62,7 @@ from qopcoh.exceptions import (
     NotUnitaryError,
 )
 from qopcoh.linalg import (
+    devectorize,
     max_abs,
     partial_trace_out,
     require_density,
@@ -77,6 +87,7 @@ from qopcoh.superop import (
     convex_combine,
     phase_out,
     sample_superoperations,
+    superop_matrices,
 )
 from qopcoh.tolerances import ADMISSION_ATOL
 
@@ -446,3 +457,160 @@ def test_closed_form_of_a_stack_equals_the_one_unitary_measure():
     assert repr(values.tolist()) == repr([closed_form_by_hand(u) for u in unitaries])
     grid, _ = single_qubit_closed_form(unitaries[:1000].reshape(10, 100, 2, 2))  # any leading axes
     assert bits(grid) == bits(values[:1000])
+
+
+# ---------------------------------------------------------------------------
+# Grouped member builds, masked structural relations and theorem12 images, raw Ginibre draws
+# ---------------------------------------------------------------------------
+
+
+def matrix_one_at_a_time(choi_kraus: np.ndarray) -> np.ndarray:
+    """The d^4 x d^4 matrix of one Kraus stack, as the one-superoperation build spelled it: conj(K)^T K, reordered."""
+    dd = choi_kraus.shape[-1]
+    ks = choi_kraus.reshape(-1, dd * dd)
+    return (ks.conj().T @ ks).reshape(dd, dd, dd, dd).transpose(0, 2, 1, 3).reshape(dd * dd, dd * dd)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("seed", range(20))
+def test_grouped_member_matrices_equal_one_sandwich_at_a_time(seed, d, monkeypatch):
+    # the class members are built per Kraus count; each must be its own sandwich's matrix, masked as a
+    # product with phase-out would leave it, and each row of a group's build that sandwich's own matrix
+    names = ["miso", "miso_star", "diso", None] * 3
+    groups = []
+    monkeypatch.setattr(superop, "superop_matrices", lambda ks: groups.append(ks) or superop_matrices(ks))
+    drawn = sample_superoperations(names, d, seed)
+    rng = np.random.default_rng(seed)
+    expected = [member_one_at_a_time(name, rng, d) for name in names]
+    assert [bits(s.matrix) for s in drawn] == [bits(s.matrix) for s in expected]
+    groups = [stacks for stacks in groups if stacks.ndim == 4]  # not the one-superoperation builds
+    sizes = [stacks.shape[1] for stacks in groups]
+    assert len(sizes) == len(set(sizes)) > 1  # mixed environment sizes: one build per Kraus count
+    for stacks in groups:
+        assert bits(superop_matrices(stacks)) == b"".join(bits(matrix_one_at_a_time(ks)) for ks in stacks)
+    for s in drawn[3::4]:  # the random sandwiches, built one at a time when read
+        assert bits(s.matrix) == bits(Superoperation.from_sandwich(s.post, s.pre).matrix)
+        assert bits(s.matrix) == bits(matrix_one_at_a_time(s.choi_kraus))
+
+
+def structural_one_at_a_time(s: Superoperation) -> superop.StructuralReport:
+    """The structural relations through compose with phase_out and classify, one product per relation."""
+    theta = phase_out(s.d)
+    after = classify(compose(theta, s))
+    s_theta = compose(s, theta)
+    both = classify(compose(theta, s_theta))
+    own = classify(s)
+    star = own.in_miso_star
+    return superop.StructuralReport(
+        phaseout_after_is_miso=after.in_miso,
+        phaseout_both_sides_is_miso=both.in_miso,
+        input_in_miso_star=star,
+        phaseout_after_is_miso_star=after.in_miso_star if star else None,
+        phaseout_before_is_miso_star=classify(s_theta).in_miso_star if star else None,
+    )
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_structural_relations_equal_the_compose_and_classify_reference(d):
+    rng = np.random.default_rng(90 + d)
+    subjects = [phase_out(d)] + sample_superoperations([None, *CLASS_NAMES] * 3, d, rng)
+    subjects.append(Superoperation.from_matrix(rng.standard_normal((d**4, d**4))))  # in no class
+    reports = [check_structural_relations(s) for s in subjects]
+    assert repr(reports) == repr([structural_one_at_a_time(s) for s in subjects])
+    assert {r.input_in_miso_star for r in reports} == {True, False}
+
+
+def theorem12_multiply_and_readmit(samples: int, seed) -> list:
+    """theorem12's checks with each channel drawn and built alone, its image a product with phase-out, re-admitted."""
+    rng = np.random.default_rng(seed)
+    checks = []
+    for d, count in ((2, samples), (3, max(1, (samples * 2) // 5))):
+        chois = []
+        for _ in range(count):
+            env = int(rng.integers(1, 4))
+            kraus = haar_from_ginibre(ginibre(d * env, rng))[:, :d].reshape(env, d, d)
+            chois.append(ChoiState(choi_matrices(kraus)).matrix)
+        images = devectorize(vectorize(np.stack(chois)) @ phase_out(d).matrix.T, d * d)
+        h, (w, _) = require_density(images, InvalidChoiError, "Choi matrix", stacked=True)
+        ok, min_eig, marginal = cptp_residuals(h, w)
+        details = {
+            "channels": count,
+            "max_marginal_residual": max(0.0, *marginal.tolist()),
+            "min_eigenvalue": min(0.0, *min_eig.tolist()),
+        }
+        name = f"theorem12 dephased channels stay CPTP (d={d}, {count} channels)"
+        checks.append({"name": name, "pass": bool(ok.all()), "details": details})
+    return checks
+
+
+@pytest.mark.parametrize("samples", [1, 3, 16])
+@pytest.mark.parametrize("seed", range(20))
+def test_theorem12_equals_the_multiply_and_readmit_reference(seed, samples, monkeypatch):
+    seen = []
+    monkeypatch.setattr(suites, "cptp_residuals", lambda m, w: seen.append((m, w)) or cptp_residuals(m, w))
+    assert repr(run_suite("theorem12", samples, seed)) == repr(theorem12_multiply_and_readmit(samples, seed))
+    # per d, the admitted states then their images; the images' spectra are their sorted diagonals, which must
+    # be eigh's bit for bit: the report clamps min_eigenvalue at 0.0, so it would not show a last-bit difference
+    assert len(seen) == 4
+    for m, w in seen[1::2]:
+        assert np.count_nonzero(m) == np.count_nonzero(np.diagonal(m, axis1=-2, axis2=-1))
+        assert bits(w) == bits(np.linalg.eigh(m)[0][..., ::-1])
+
+
+def diagonal_spectrum(images: np.ndarray) -> np.ndarray:
+    return np.sort(images.diagonal(axis1=-2, axis2=-1).real)[..., ::-1]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_cptp_residuals_fail_closed_on_diagonal_images(d):
+    # theorem12 gives its images' verdicts from their diagonals with no admission, so the kernel must
+    # reject a non-finite entry, a negative one and a wrong marginal by itself
+    n = d * d
+    good = np.diag(np.full(n, 1.0 / n)).astype(complex)
+    nan, negative, lopsided = good.copy(), good.copy(), good.copy()
+    nan[1, 1] = np.nan
+    negative[0, 0] -= 1.0 / n + 2 * ADMISSION_ATOL  # moved within input block 0: the marginal still holds
+    negative[1, 1] += 1.0 / n + 2 * ADMISSION_ATOL
+    lopsided[0, 0] += 0.01  # moved from input block 1 to block 0: positive, but tr_out is not I/d
+    lopsided[d, d] -= 0.01
+    images = np.stack([good, nan, negative, lopsided])
+    ok, min_eig, marginal = cptp_residuals(images, diagonal_spectrum(images))
+    assert ok.tolist() == [True, False, False, False]
+    assert np.isnan(marginal[1])
+    assert min_eig[2] < -ADMISSION_ATOL and marginal[2] <= ADMISSION_ATOL
+    assert min_eig[3] > 0 and marginal[3] > ADMISSION_ATOL
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_raw_draws_give_the_complex_draw_kraus_stacks(d):
+    # kraus_from_ginibre takes raw standard-normal pairs; each stack must be the one a complex Ginibre
+    # draw gives through its own QR, and the two generators must end in the same state
+    raw, one = np.random.default_rng(60 + d), np.random.default_rng(60 + d)
+    draws, expected = [], []
+    for _ in range(12):
+        n = d * int(raw.integers(1, 4))
+        draws.append(raw.standard_normal((2, n, n)))
+        env = int(one.integers(1, 4))
+        expected.append(haar_from_ginibre(ginibre(d * env, one))[:, :d].reshape(env, d, d))
+    stacks = kraus_from_ginibre(d, draws)
+    assert len({len(k) for k in stacks}) > 1
+    assert [bits(k) for k in stacks] == [bits(k) for k in expected]
+    assert not any(k.flags.writeable for k in stacks)
+    assert raw.integers(2**62) == one.integers(2**62)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_direct_incoherent_stacks_equal_their_admitted_build(d):
+    # the incoherent generator and the dephasing channel build their read-only Kraus stacks without admission
+    rng = np.random.default_rng(80 + d)
+    t = rng.uniform(0.05, 1.0, size=(d, d))
+    t /= t.sum(axis=0, keepdims=True)
+    eye = np.eye(d)
+    ks = np.sqrt(t.T)[:, :, None, None] * eye[None, :, :, None] * eye[:, None, None, :]
+    expected = QuantumOperation.from_kraus(ks.reshape(d * d, d, d)).kraus_operators
+    built = random_incoherent_cptp(d, 80 + d).kraus_operators
+    assert built.dtype == expected.dtype and bits(built) == bits(expected)
+    eye = np.eye(d, dtype=complex)
+    dephasing = dephasing_operation(d).kraus_operators
+    assert bits(dephasing) == bits(QuantumOperation.from_kraus(eye[:, :, None] * eye[:, None, :]).kraus_operators)
+    assert not built.flags.writeable and not dephasing.flags.writeable

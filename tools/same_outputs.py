@@ -5,15 +5,16 @@ Usage:
     python tools/same_outputs.py PARENT_REF
 
 Exports PARENT_REF with ``git archive`` into a temporary directory and runs
-the same 193 commands against it and against this checkout's working tree:
+the same 203 commands against it and against this checkout's working tree:
 ``tools/cli_battery.py``, ``tools/roof_probe.py``, ``verify --suite all
 --samples 200 --seed 1``, ``verify --suite axioms --samples S --seed K``
 for S in 1, 10 and 200 and K from 1 to 20, ``verify --suite X --samples S
 --seed K`` for X in theorem12, corollary32 and theorem21, S in 1, 3 and 16
 and K from 1 to 10, ``random --kind superop --d D --seed K`` for D in 2
-and 3, and ``random --kind cptp --d D --env-dim E --seed K`` for D in 2
-and 3 and E in 1, 2 and 3, both for K from 1 to 5.  The random sandwiches
-draw channels of mixed environment sizes.  The two tools are this
+and 3, ``random --kind cptp --d D --env-dim E --seed K`` for D in 2 and 3
+and E in 1, 2 and 3, and ``random --kind incoherent-cptp --d D --seed K``
+for D in 2 and 3, all for K from 1 to 5.  The random sandwiches draw
+channels of mixed environment sizes.  The two tools are this
 checkout's copies, so only the package differs between the runs.  Prints a
 unified diff of the two outputs, exits 1 on any difference and 0
 otherwise, and deletes the temporary directory either way.  Uses the
@@ -50,6 +51,7 @@ def commands(root: Path, workdir: Path) -> list:
         runs.append((f"verify {' '.join(args)}", [*verify, *args], root))
     draws = [["--kind", "superop", "--d", str(d)] for d in (2, 3)]
     draws += [["--kind", "cptp", "--d", str(d), "--env-dim", str(env)] for d in (2, 3) for env in (1, 2, 3)]
+    draws += [["--kind", "incoherent-cptp", "--d", str(d)] for d in (2, 3)]
     for args in (draw + ["--seed", str(seed)] for draw in draws for seed in range(1, 6)):
         runs.append((f"random {' '.join(args)}", [*random, *args], root))
     return runs
