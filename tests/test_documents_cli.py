@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import qopcoh
+from qopcoh import suites, superop
 from qopcoh.channel import (
     QuantumOperation,
     dephasing_operation,
@@ -765,3 +766,35 @@ def test_mutation_battery(tmp_path):
                     ):
                         failures.append(f"{command} {path.name}: exit {result.exit_code}, {result.stderr[:120]!r}")
     assert not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize("suite", ["theorem21", "all"])
+def test_verify_reports_a_raised_self_check_as_a_failed_check(monkeypatch, suite):
+    # a block kernel that rejects every member makes the sampler raise: only a bug reaches this path
+    monkeypatch.setattr(superop, "_block_residuals", lambda matrices, d: np.ones((*matrices.shape[:-2], 2)))
+    result = CliRunner().invoke(main, ["verify", "--suite", suite, "--samples", "1", "--seed", "1"])
+    assert result.exit_code == 1
+    checks = json.loads(result.stdout)["checks"]
+    failed = {
+        "name": "theorem21 ran without error",
+        "pass": False,
+        "details": {"error": "the sampled miso candidate failed its class check"},
+    }
+    assert [c for c in checks if not c["pass"]] == [failed]
+    if suite == "all":
+        # the other suites still run, in their order, from the same seed
+        monkeypatch.undo()
+        names = {name: [c["name"] for c in run_suite(name, 1, 1)] for name in suites.SUITE_NAMES if name != "all"}
+        names["theorem21"] = [failed["name"]]
+        assert [c["name"] for c in checks] == [name for group in names.values() for name in group]
+
+
+def test_verify_exits_2_when_a_suite_runs_out_of_memory(monkeypatch):
+    def no_memory(**kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(suites, "verify_axioms", no_memory)
+    result = CliRunner().invoke(main, ["verify", "--suite", "axioms", "--samples", "1", "--seed", "1"])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: the request is too large for memory")
+    assert result.stdout == ""

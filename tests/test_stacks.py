@@ -14,6 +14,9 @@ draws reach ``kraus_from_ginibre`` raw; each is compared with the code that
 built one object at a time, kept here as the reference.
 Kernels such as ``partial_trace_out`` and ``cptp_residuals`` take a matrix or
 a stack with no flag, and each row of a stack must equal the one-object call.
+Every suite draws from its own int seed, so ``all`` must be the concatenation
+of the standalone suites, in its reports and in the draws behind them; the
+axioms harness keeps its draw order, pinned by a copy of its loop.
 """
 
 import math
@@ -27,7 +30,7 @@ import numpy as np
 import pytest
 
 import qopcoh
-from qopcoh import suites, superop
+from qopcoh import coherence, suites, superop
 from qopcoh.channel import (
     HADAMARD,
     PAULI_X,
@@ -41,17 +44,22 @@ from qopcoh.channel import (
     haar_from_ginibre,
     haar_unitary,
     is_cptp,
+    is_incoherent_operation,
     kraus_from_ginibre,
+    mix_operations,
     random_cptp,
     random_incoherent_cptp,
+    random_unitary,
 )
 from qopcoh.coherence import (
     SQRT3_OVER_2,
+    AxiomReport,
     fidelity_from_roots,
     max_coherent_operation,
     mf_pure,
     mf_single_qubit_unitary,
     single_qubit_closed_form,
+    verify_axioms,
 )
 from qopcoh.exceptions import (
     DimensionMismatchError,
@@ -71,7 +79,7 @@ from qopcoh.linalg import (
     require_unitary,
     vectorize,
 )
-from qopcoh.suites import run_suite
+from qopcoh.suites import SUITE_NAMES, run_suite
 from qopcoh.superop import (
     CLASS_NAMES,
     COMBINATION_WEIGHTS,
@@ -85,6 +93,7 @@ from qopcoh.superop import (
     closure_of,
     compose,
     convex_combine,
+    kraus_outcomes,
     phase_out,
     sample_superoperations,
     superop_matrices,
@@ -614,3 +623,99 @@ def test_direct_incoherent_stacks_equal_their_admitted_build(d):
     dephasing = dephasing_operation(d).kraus_operators
     assert bits(dephasing) == bits(QuantumOperation.from_kraus(eye[:, :, None] * eye[:, None, :]).kraus_operators)
     assert not built.flags.writeable and not dephasing.flags.writeable
+
+
+def spy_on_draws(monkeypatch) -> list:
+    """Record, as the suites call them, each AxiomCheck of the axioms harness and each sampled member's matrix."""
+    seen = []
+
+    def axioms(**kwargs):
+        report = verify_axioms(**kwargs)
+        seen.extend(map(repr, report.checks))
+        return report
+
+    def sample(names, d, seed):
+        drawn = sample_superoperations(names, d, seed)
+        seen.extend(bits(s.matrix) for s in drawn)
+        return drawn
+
+    monkeypatch.setattr(suites, "verify_axioms", axioms)
+    monkeypatch.setattr(suites, "sample_superoperations", sample)
+    return seen
+
+
+@pytest.mark.parametrize("samples", [1, 3, 20])
+@pytest.mark.parametrize("seed", range(10))
+def test_all_is_the_concatenation_of_the_standalone_suites(seed, samples, monkeypatch):
+    # the theorem21 and axioms reports do not show their draws, so the draws are compared too
+    seen = spy_on_draws(monkeypatch)
+    whole = run_suite("all", samples, seed)
+    drawn_in_all = seen[:]
+    seen.clear()
+    parts = [check for name in SUITE_NAMES if name != "all" for check in run_suite(name, samples, seed)]
+    assert repr(whole) == repr(parts)
+    assert drawn_in_all == seen
+
+
+def axioms_one_at_a_time(samples: int, seed: int) -> list:
+    """The checks of ``verify_axioms``, from a copy of its loop: the reference for the order of its draws."""
+    rng = np.random.default_rng(seed)
+    report = AxiomReport()
+    d = 2
+    dd = d * d
+    measure, check = coherence._measure_value, coherence._check
+    for n in range(samples):
+        inc = random_incoherent_cptp(d, rng)
+        value, exact = measure(inc, 0.0)
+        check(report, "nonnegativity", f"incoherent channel #{n} scores zero", value, 0.0, exact)
+    for n in range(samples):
+        u = random_unitary(d, rng)
+        value = mf_pure(u).value
+        if not is_incoherent_operation(u.choi).ok:
+            check(report, "nonnegativity", f"coherent unitary #{n} scores positive", 2 * coherence.AXIOM_SLACK, value)
+    for n in range(samples):
+        phi = random_unitary(d, rng)
+        base = mf_pure(phi).value
+        iso = Superoperation.from_kraus_on_choi([coherence._perm_phase_choi_kraus(dd, rng)])
+        check(report, "monotonicity", f"permutation-phase ISO #{n}", mf_pure(apply(iso, phi)).value, base)
+    for n in range(samples // 2):
+        phi = random_unitary(d, rng)
+        base = mf_pure(phi).value
+        out = apply(Superoperation.from_kraus_on_choi(coherence._two_branch_choi_kraus(dd, rng)), phi)
+        value, exact = measure(out, base)
+        check(report, "monotonicity", f"two-branch ISO mixture #{n}", value, base, exact)
+    for n in range(samples):
+        phi = random_unitary(d, rng)
+        base = mf_pure(phi).value
+        if n % 2 == 0:
+            kraus = coherence._partition_projectors(dd, rng)
+            label = f"projective partition #{n}"
+        else:
+            kraus = coherence._two_branch_choi_kraus(dd, rng)
+            label = f"branching perm-phase ISO #{n}"
+        outcomes = kraus_outcomes(Superoperation.from_kraus_on_choi(kraus), phi)
+        check(report, "strong_monotonicity", label, sum(p * mf_pure(b).value for p, b in outcomes), base)
+    for n in range(samples):
+        u1, u2 = random_unitary(d, rng), random_unitary(d, rng)
+        p = float(rng.uniform(0.0, 1.0))
+        rhs = p * mf_pure(u1).value + (1 - p) * mf_pure(u2).value
+        value, exact = measure(mix_operations([p, 1 - p], [u1, u2]), rhs)
+        check(report, "convexity", f"unitary mixture #{n} (p={p:.3f})", value, rhs, exact)
+    for n in range(samples // 2):
+        i1, i2 = random_incoherent_cptp(d, rng), random_incoherent_cptp(d, rng)
+        p = float(rng.uniform(0.0, 1.0))
+        value, exact = measure(mix_operations([p, 1 - p], [i1, i2]), 0.0)
+        check(report, "convexity", f"incoherent mixture #{n}", value, 0.0, exact)
+    for p in (0.0, 1.0):
+        u1, u2 = random_unitary(d, rng), random_unitary(d, rng)
+        rhs = p * mf_pure(u1).value + (1 - p) * mf_pure(u2).value
+        value, exact = measure(mix_operations([p, 1 - p], [u1, u2]), rhs)
+        check(report, "convexity", f"degenerate mixture p={p}", value, rhs, exact)
+    return report.checks
+
+
+@pytest.mark.parametrize("samples", [1, 3, 20])
+@pytest.mark.parametrize("seed", range(10))
+def test_axioms_draw_in_the_order_of_the_reference_loop(seed, samples):
+    # the axioms report carries only per-axiom counts, so the checks behind it are compared
+    assert repr(verify_axioms(samples, seed=seed).checks) == repr(axioms_one_at_a_time(samples, seed))
