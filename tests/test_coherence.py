@@ -44,8 +44,8 @@ from qopcoh.coherence import (
 from qopcoh.coherence import (
     _measure_value,
     _partition_projectors,
-    _polar,
     _random_isometries,
+    _retract,
     _row_terms,
     _two_branch_choi_kraus,
     _uhlmann_lane,
@@ -292,6 +292,17 @@ class TestConvexRoof:
             with pytest.raises(ValueError, match="max_iter must be at least 0"):
                 mf_convex_roof(op, restarts=4, max_iter=max_iter, seed=0)
 
+    def test_default_step_cap_descends_below_the_start(self):
+        # at the default max_iter the descent takes steps: its value lies
+        # strictly below the unmoved start's, the max_iter=0 value
+        rng = np.random.default_rng(31)
+        ops = [random_cptp(2, env, rng) for env in (2, 3, 4)]
+        p = float(rng.uniform(0.2, 0.8))
+        ops.append(mix_operations([p, 1 - p], [random_unitary(2, rng), random_unitary(2, rng)]))
+        for n, op in enumerate(ops):
+            start = mf_convex_roof(op, restarts=6, max_iter=0, seed=n).value
+            assert mf_convex_roof(op, restarts=6, seed=n).value < start
+
     def test_ensemble_weight_validation(self):
         # weights summing to 0.5, a NaN row, no rows at all, and an all-zero
         # row, whose weight sums to one with the rest but whose member is 0 / 0
@@ -391,7 +402,7 @@ class TestConvexRoof:
         # at most _STEPS steps on every input, ended sooner once the best
         # value stalls, and max_iter above that length changes nothing
         steps = []
-        monkeypatch.setattr(coherence, "_polar", lambda v: steps.append(1) or _polar(v))
+        monkeypatch.setattr(coherence, "_retract", lambda v: steps.append(1) or _retract(v))
         rng = np.random.default_rng(21)
         counts = []
         for op in (
@@ -476,7 +487,7 @@ def _reference_roof(op, restarts, max_iter, seed, stall=True):
     for _ in range(min(max_iter, coherence._STEPS)):
         if values.min() <= coherence._ZERO:
             break
-        trial = _polar(v - step[:, None, None] * _reference_gradient(v, a_t))
+        trial = _retract(v - step[:, None, None] * _reference_gradient(v, a_t))
         trial_values = _row_terms(trial @ a_t).sum(axis=1)
         accept = trial_values < values
         step = np.where(accept, 1.3 * step, 0.5 * step)
@@ -524,7 +535,7 @@ class TestCarriedDescent:
         monkeypatch.setattr(
             coherence, "_value_and_direction", lambda *args: passes.append(1) or _value_and_direction(*args)
         )
-        monkeypatch.setattr(coherence, "_polar", lambda v: steps.append(1) or _polar(v))
+        monkeypatch.setattr(coherence, "_retract", lambda v: steps.append(1) or _retract(v))
         for n, op in enumerate(_descent_inputs()):
             passes.clear()
             steps.clear()
@@ -532,6 +543,61 @@ class TestCarriedDescent:
             assert len(steps) == _reference_roof(op, 6, 600, n)[3]
             assert len(passes) == 1 + len(steps)
 
+
+def _tangent_trials(rng, lanes, r, t):
+    """x = V - t xi at random m x r isometries V, m = r^2 + 1, and tangents xi at V.
+
+    xi = (1 - V V^dagger) G diag(1, ..., 0), scaled to spectral norm 1, is
+    tangent since V^dagger xi = 0, and for r >= 2 its smallest singular
+    value is 0, so x^dagger x = I + t^2 xi^dagger xi gives
+    kappa(x) = sqrt(1 + t^2).  The extra row leaves r = 1 a tangent off V.
+    """
+    m = r * r + 1
+    g = rng.standard_normal((lanes, m, r)) + 1j * rng.standard_normal((lanes, m, r))
+    v = np.linalg.qr(g)[0]
+    g = rng.standard_normal((lanes, m, r)) + 1j * rng.standard_normal((lanes, m, r))
+    xi = (g - v @ (dagger(v) @ g)) * np.linspace(1.0, 0.0, r)
+    xi /= np.linalg.norm(xi, ord=2, axis=(-2, -1))[:, None, None]
+    return v - t * xi
+
+
+def _polar_factor(x):
+    # the isometry nearest to x: U W^dagger of its SVD x = U S W^dagger
+    u, _, wh = np.linalg.svd(x, full_matrices=False)
+    return u @ wh
+
+
+class TestRetraction:
+    @pytest.mark.parametrize("lanes", [1, 6, 32])
+    def test_equals_the_phase_fixed_householder_q(self, lanes):
+        # qf(x) = Q D with Q R = x from LAPACK's QR and D the phases of R's
+        # diagonal: the one isometry Q' with Q'^dagger x upper triangular
+        # and of positive real diagonal
+        rng = np.random.default_rng(32)
+        kappas = []
+        for r in range(1, 10):
+            for t in (0.0, 1e-3, 1e-2, 0.1, 1.0, 10.0, 99.0):
+                x = _tangent_trials(rng, lanes, r, t)
+                kappas.append(np.linalg.cond(x).max())
+                q = _retract(x)
+                householder_q, householder_r = np.linalg.qr(x)
+                diagonal = np.diagonal(householder_r, axis1=-2, axis2=-1)
+                assert max_abs(q - householder_q * (diagonal / np.abs(diagonal))[:, None, :]) <= 1e-12
+                assert max_abs(dagger(q) @ q - np.eye(r)) <= 1e-12
+                triangle = dagger(q) @ x
+                assert max_abs(np.tril(triangle, -1)) <= 1e-12 * max(1.0, t)
+                diagonal = np.diagonal(triangle, axis1=-2, axis2=-1)
+                assert np.abs(diagonal.imag).max() <= 1e-12 * max(1.0, t) and (diagonal.real > 0).all()
+        assert 99.0 < max(kappas) <= 100.0
+
+    def test_agrees_with_the_polar_factor_to_first_order(self):
+        # |qf(V - t xi) - polar(V - t xi)| = O(t^2): both retractions are
+        # V - t xi + O(t^2) for xi tangent at V
+        rng = np.random.default_rng(33)
+        for r in range(1, 10):
+            for t in (1e-2, 1e-3):
+                x = _tangent_trials(rng, 6, r, t)
+                assert max_abs(_retract(x) - _polar_factor(x)) <= t * t
 
 def _grid_fidelity(root, rounds=20):
     """Largest F(rho, diag s) on a simplex grid of step 1/24 at d=2, then on finer grids around the best point."""

@@ -8,9 +8,10 @@ Imports qopcoh from ROOT/src, builds 26 d=2 and 10 d=3 mixed operations
 from fixed seeds with qopcoh's own generators (Stinespring channels,
 two-unitary mixtures, 0.7 H + 0.3 I, incoherent mixtures), and runs
 ``mf_convex_roof(op, restarts=6, max_iter=600, seed=n)`` on each.  Each
-line holds the input's label, the value, the number of descent steps, one
-digest of the history and the ensemble weights, and one digest of the
-members' Choi matrices and of their weighted sum sum_n p_n C_n.  Three
+line holds the input's label, the value, the number of descent steps
+(calls of the retraction, ``_retract``, or ``_polar`` on a checkout that
+predates it), one digest of the history and the ensemble weights, and one
+digest of the members' Choi matrices and of their weighted sum sum_n p_n C_n.  Three
 columns follow on the Uhlmann lane: "uhlmann" where the input has one,
 "none" where its Choi rank is below d, and "-" on a checkout without it;
 then "won" or "lost" (the last lane's value lies strictly below every
@@ -85,8 +86,9 @@ def main(root: str) -> None:
     from qopcoh import channel, coherence
 
     steps = []
-    polar = coherence._polar
-    coherence._polar = lambda v: steps.append(1) or polar(v)
+    name = "_retract" if hasattr(coherence, "_retract") else "_polar"
+    retract = getattr(coherence, name)
+    setattr(coherence, name, lambda v: steps.append(1) or retract(v))
     for n, (label, op) in enumerate(inputs(channel)):
         steps.clear()
         result = coherence.mf_convex_roof(op, restarts=6, max_iter=600, seed=n)
