@@ -11,13 +11,14 @@ two-unitary mixtures, 0.7 H + 0.3 I, incoherent mixtures), and runs
 line holds the input's label, the value, the number of descent steps
 (calls of the retraction, ``_retract``, or ``_polar`` on a checkout that
 predates it), one digest of the history and the ensemble weights, and one
-digest of the members' Choi matrices and of their weighted sum sum_n p_n C_n.  Three
-columns follow on the Uhlmann lane: "uhlmann" where the input has one,
-"none" where its Choi rank is below d, and "-" on a checkout without it;
-then "won" or "lost" (the last lane's value lies strictly below every
-other lane's, read off the history), and the gap between the value and
-the lane's bound sqrt(1 - F), which is never above 1e-12.  The probe
-reads the ensemble only through ``weights`` and ``members``.
+digest of the members' Choi matrices and of their weighted sum
+sum_n p_n C_n.  Three columns follow on the Uhlmann lane: "uhlmann" where
+the input has one, "none" where its Choi rank is below d, and "-" on a
+checkout without it; then "won" or "lost" (the last lane's value lies
+strictly below every other lane's, read off the history), and the gap
+between the value and the lane's bound sqrt(1 - F), which is never above
+1e-12.  The probe reads the ensemble only through ``weights`` and
+``members``.
 
 Then come 18 lines on the symmetric family C_p = p |+><+| + (1 - p) I/d^2
 (|+><+| the all-1/d^2 matrix) for d = 2, 3 and p = 0.1, 0.2, ..., 0.9, each
