@@ -51,9 +51,11 @@ from .exceptions import (
     WeightError,
 )
 from .linalg import (
+    cholesky_lo,
     dagger,
     devectorize,
     dimension,
+    inv,
     max_abs,
     psd_root,
     require_density,
@@ -153,7 +155,7 @@ class Ensemble:
     @cached_property
     def reconstruction(self) -> np.ndarray:
         """sum_n p_n C_n, summed in member order."""
-        c = sum(w * m for w, m in zip(self.weights, self._matrices()))
+        c = np.add.reduce(self.weights[:, None, None] * self._matrices(), axis=0)
         c.setflags(write=False)
         return c
 
@@ -294,9 +296,8 @@ def _uhlmann_lane(root: np.ndarray, vecs: np.ndarray, m: int) -> np.ndarray:
 
 def _retract(x: np.ndarray) -> np.ndarray:
     # qf(x) = x R^-1, R = L^dagger for the Cholesky factor L of x^dagger x: first-order equal to the polar factor.
-    # A trial V - t xi, xi tangent at V, has kappa(x) <= sqrt(1 + t^2 |xi|^2), measured at most 2.74; the isometry
-    # loses orthogonality as kappa^2 eps, and Cholesky raises LinAlgError from kappa ~ 4e9.
-    return x @ np.linalg.inv(np.linalg.cholesky(x.conj().swapaxes(-1, -2) @ x).conj().swapaxes(-1, -2))
+    # A trial V - t xi, xi tangent at V, has kappa(x) <= sqrt(1 + t^2 |xi|^2), measured at most 2.74.
+    return x @ inv(cholesky_lo(x.conj().swapaxes(-1, -2) @ x).conj().swapaxes(-1, -2))
 
 
 def _value_and_direction(v: np.ndarray, psi: np.ndarray, a_h: np.ndarray) -> tuple:
@@ -313,14 +314,14 @@ def _value_and_direction(v: np.ndarray, psi: np.ndarray, a_h: np.ndarray) -> tup
     2 Re tr(xi^dagger Y) to first order.
     """
     mod2 = np.abs(psi) ** 2
-    p = mod2.sum(axis=-1, keepdims=True)
-    q = mod2.max(axis=-1, keepdims=True)
+    p = np.add.reduce(mod2, axis=-1, keepdims=True)
+    q = np.maximum.reduce(mod2, axis=-1, keepdims=True)
     top = np.arange(mod2.shape[-1]) == mod2.argmax(axis=-1)[..., None]
     f = np.sqrt(p * (p - q))
     z = psi * ((2.0 * p - q - p * top) / np.where(f > 0, 2.0 * f, np.inf))
-    g = z @ a_h
+    g = (z.reshape(-1, z.shape[-1]) @ a_h).reshape(v.shape)
     vg = v.conj().swapaxes(-1, -2) @ g
-    return f[..., 0].sum(axis=-1), g - v @ ((vg + vg.conj().swapaxes(-1, -2)) / 2)
+    return np.add.reduce(f[..., 0], axis=-1), g - v @ ((vg + vg.conj().swapaxes(-1, -2)) / 2)
 
 
 def mf_convex_roof(
@@ -398,21 +399,24 @@ def mf_convex_roof(
     if restarts >= 2 and m >= choi.d**2:
         v[-1] = _uhlmann_lane(choi.root, vecs, m)  # in place of the last random isometry
     values, xi = _value_and_direction(v, v @ a_t, a_h)
-    step = np.full(restarts, 0.5)
-    best = [values.min()]  # best[i]: the least lane value after step i
-    for i in range(1, min(max_iter, _STEPS) + 1):
-        if best[-1] <= _ZERO:
-            break
-        trial = _retract(v - step[:, None, None] * xi)
-        trial_values, trial_xi = _value_and_direction(trial, trial @ a_t, a_h)
-        accept = trial_values < values
-        step *= np.where(accept, 1.3, 0.5)
-        np.copyto(v, trial, where=accept[:, None, None])
-        np.copyto(xi, trial_xi, where=accept[:, None, None])
-        np.copyto(values, trial_values, where=accept)
-        best.append(values.min())
-        if i >= _STALL_STEPS and best[i - _STALL_STEPS] - best[i] <= _STALL_GAIN * best[i]:
-            break
+    step = np.full((restarts, 1, 1), 0.5)
+    best = [float(np.minimum.reduce(values))]  # best[i]: the least lane value after step i
+    with np.errstate(invalid="ignore"):  # a NaN trial, from a Gram matrix not positive definite, is rejected
+        for i in range(1, min(max_iter, _STEPS) + 1):
+            if best[-1] <= _ZERO:
+                break
+            trial = _retract(v - step * xi)
+            rows = (trial.reshape(-1, r) @ a_t).reshape(restarts, m, -1)  # one GEMM over every lane's rows
+            trial_values, trial_xi = _value_and_direction(trial, rows, a_h)
+            accept = trial_values < values
+            keep = accept[:, None, None]
+            step *= np.where(keep, 1.3, 0.5)
+            np.copyto(v, trial, where=keep)
+            np.copyto(xi, trial_xi, where=keep)
+            np.copyto(values, trial_values, where=accept)
+            best.append(float(np.minimum.reduce(values)))
+            if i >= _STALL_STEPS and best[i - _STALL_STEPS] - best[i] <= _STALL_GAIN * best[i]:
+                break
 
     history = tuple(float(h) for h in np.minimum.accumulate(values))
     psi = v[np.argmin(values)] @ a_t

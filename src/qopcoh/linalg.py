@@ -8,11 +8,17 @@ Basis convention, fixed project wide: the tensor basis ket |i alpha> of the
 input(x)output space maps to linear index ``i*d + alpha`` (input index
 major).  Vectorization is column stacking, so
 ``vec(A X B) == np.kron(B.T, A) @ vec(X)``.
+
+``cholesky_lo`` and ``inv`` are numpy's gufuncs behind ``np.linalg.cholesky`` and
+``np.linalg.inv``, called without those wrappers' dtype and squareness checks and their
+errstate, which the complex square stacks formed here never need.  A member that is not
+positive definite (or is singular) comes back all NaN and raises the invalid flag.
 """
 
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg._umath_linalg import cholesky_lo, inv
 
 from .exceptions import (
     DimensionMismatchError,

@@ -322,6 +322,18 @@ class TestConvexRoof:
         assert ens.rows is not rows and not ens.rows.flags.writeable
         assert max_abs(ens.reconstruction - rows.T @ rows.conj()) <= 1e-15
 
+    def test_reconstruction_is_the_member_order_sum(self):
+        rng = np.random.default_rng(37)
+        for d in (2, 3):
+            for n in range(1, 17):
+                rows = rng.standard_normal((n, d * d)) + 1j * rng.standard_normal((n, d * d))
+                ens = Ensemble(rows / np.linalg.norm(rows))
+                terms = [w * m for w, m in zip(ens.weights, ens._matrices())]
+                expected = terms[0]
+                for term in terms[1:]:
+                    expected = expected + term
+                assert ens.reconstruction.tobytes() == expected.tobytes()
+
     def test_members_are_built_only_when_read(self):
         mixed = mix_operations([0.55, 0.45], [random_unitary(2, np.random.default_rng(17)), hadamard_operation()])
         ens = mf_convex_roof(mixed, restarts=4, max_iter=200, seed=18).ensemble
@@ -542,6 +554,28 @@ class TestCarriedDescent:
             mf_convex_roof(op, restarts=6, max_iter=600, seed=n)
             assert len(steps) == _reference_roof(op, 6, 600, n)[3]
             assert len(passes) == 1 + len(steps)
+
+    def test_a_trial_not_positive_definite_is_rejected(self, monkeypatch):
+        # a trial x with a zero column has a singular Gram matrix: its lane retracts
+        # to NaN, which never lowers the lane's value, so the lane keeps its V
+        calls, nan_lanes = [], []
+
+        def retract(x):
+            calls.append(1)
+            if len(calls) != 3:
+                return _retract(x)
+            x = x.copy()
+            x[1, :, 0] = 0.0
+            out = _retract(x)
+            nan_lanes.append(np.isnan(out).any(axis=(1, 2)).tolist())
+            return out
+
+        monkeypatch.setattr(coherence, "_retract", retract)
+        op = random_cptp(2, 3, np.random.default_rng(38))
+        res = mf_convex_roof(op, restarts=6, seed=39)
+        assert nan_lanes == [[False, True, False, False, False, False]] and len(calls) > 3
+        assert max_abs(res.ensemble.reconstruction - op.choi.matrix) <= 1e-8
+        assert res.value <= mf_convex_roof(op, restarts=6, max_iter=0, seed=39).value
 
 
 def _tangent_trials(rng, lanes, r, t):

@@ -22,9 +22,12 @@ from qopcoh.exceptions import (
 )
 from qopcoh.linalg import (
     MAX_ENTRY,
+    cholesky_lo,
+    dagger,
     devectorize,
     dimension,
     eig_hermitian,
+    inv,
     max_abs,
     partial_trace_in,
     partial_trace_out,
@@ -281,6 +284,48 @@ class TestVectorization:
 
 
 NON_FINITE = (np.nan, np.inf, -np.inf)
+
+
+def _positive_definite_stack(lanes, r, rng):
+    g = rng.standard_normal((lanes, r + 2, r)) + 1j * rng.standard_normal((lanes, r + 2, r))
+    return dagger(g) @ g
+
+
+class TestUnwrappedKernels:
+    """``cholesky_lo`` and ``inv`` are what np.linalg.cholesky and np.linalg.inv compute, bit for bit."""
+
+    @pytest.mark.parametrize("lanes", [1, 6, 32])
+    def test_bit_equal_to_the_public_functions(self, lanes):
+        rng = np.random.default_rng(50)
+        for r in range(1, 10):
+            s = _positive_definite_stack(lanes, r, rng)
+            lower = cholesky_lo(s)
+            assert lower.dtype == complex and lower.tobytes() == np.linalg.cholesky(s).tobytes()
+            # the retraction inverts the factor's adjoint; the Gram matrices themselves too
+            for m in (dagger(lower), s):
+                assert inv(m).tobytes() == np.linalg.inv(m).tobytes()
+
+    @pytest.mark.parametrize("lanes", [1, 6, 32])
+    def test_a_rank_deficient_member_comes_back_nan_alone(self, lanes):
+        rng = np.random.default_rng(51)
+        for r in range(1, 10):
+            s = _positive_definite_stack(lanes, r, rng)
+            bad, column = int(rng.integers(lanes)), int(rng.integers(r))
+            s[bad, column, :] = 0.0
+            s[bad, :, column] = 0.0
+            rest = np.arange(lanes) != bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with np.errstate(invalid="ignore"):
+                    outputs = cholesky_lo(s), inv(s)
+            for out, public in zip(outputs, (np.linalg.cholesky, np.linalg.inv)):
+                assert np.isnan(out[bad]).all()
+                assert lanes == 1 or out[rest].tobytes() == public(s[rest]).tobytes()
+                with pytest.raises(np.linalg.LinAlgError):
+                    public(s)
+            # outside errstate the failure warns, so it cannot pass unnoticed
+            with pytest.warns(RuntimeWarning, match="invalid value"):
+                cholesky_lo(s)
 
 
 class TestAdmission:
